@@ -1,14 +1,11 @@
 // Performance benchmarks for the community-detection algorithms: Louvain
-// vs label propagation vs CNM fast-greedy vs Infomap-lite, on planted
-// clique-ring graphs of growing size.
+// vs label propagation vs CNM fast-greedy vs Infomap-lite, each run
+// through Detect(), on planted clique-ring graphs of growing size.
 
 #include <benchmark/benchmark.h>
 
-#include "community/fast_greedy.h"
+#include "community/detector.h"
 #include "core/checked_cast.h"
-#include "community/infomap.h"
-#include "community/label_propagation.h"
-#include "community/louvain.h"
 #include "community/modularity.h"
 #include "core/rng.h"
 
@@ -68,7 +65,7 @@ BENCHMARK(BM_WeightedGraphBuild)->Arg(50)->Arg(200)->Arg(800);
 void BM_Louvain(benchmark::State& state) {
   auto g = CliqueRing(static_cast<int>(state.range(0)), 12);
   for (auto _ : state) {
-    auto r = RunLouvain(g);
+    auto r = Detect(g, {AlgorithmId::kLouvain, {}});
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -79,7 +76,7 @@ BENCHMARK(BM_Louvain)->Arg(10)->Arg(50)->Arg(200);
 void BM_LabelPropagation(benchmark::State& state) {
   auto g = CliqueRing(static_cast<int>(state.range(0)), 12);
   for (auto _ : state) {
-    auto r = RunLabelPropagation(g);
+    auto r = Detect(g, {AlgorithmId::kLabelPropagation, {}});
     benchmark::DoNotOptimize(r);
   }
 }
@@ -88,7 +85,7 @@ BENCHMARK(BM_LabelPropagation)->Arg(10)->Arg(50)->Arg(200);
 void BM_FastGreedy(benchmark::State& state) {
   auto g = CliqueRing(static_cast<int>(state.range(0)), 12);
   for (auto _ : state) {
-    auto r = RunFastGreedy(g);
+    auto r = Detect(g, {AlgorithmId::kFastGreedy, {}});
     benchmark::DoNotOptimize(r);
   }
 }
@@ -97,7 +94,7 @@ BENCHMARK(BM_FastGreedy)->Arg(10)->Arg(50)->Arg(200);
 void BM_InfomapLite(benchmark::State& state) {
   auto g = CliqueRing(static_cast<int>(state.range(0)), 12);
   for (auto _ : state) {
-    auto r = RunInfomapLite(g);
+    auto r = Detect(g, {AlgorithmId::kInfomap, {}});
     benchmark::DoNotOptimize(r);
   }
 }
@@ -105,7 +102,8 @@ BENCHMARK(BM_InfomapLite)->Arg(10)->Arg(50)->Arg(200);
 
 void BM_Modularity(benchmark::State& state) {
   auto g = CliqueRing(100, 12);
-  auto partition = RunLouvain(g).ValueOrDie().partition;
+  auto partition =
+      Detect(g, {AlgorithmId::kLouvain, {}}).ValueOrDie().partition;
   for (auto _ : state) {
     benchmark::DoNotOptimize(Modularity(g, partition));
   }

@@ -48,15 +48,12 @@
 #include "expansion/pipeline.h"
 #include "expansion/selection.h"
 
-// Community detection. detector.h is the unified entry point (Detect(),
-// algorithm registry); the per-algorithm headers remain for the legacy
-// Run* wrappers and their option/result structs.
+// Community detection. detector.h is the single entry point (Detect(),
+// algorithm registry); modularity.h and infomap.h hold the partition
+// quality functions (modularity, map-equation codelength).
 #include "community/aggregate.h"
 #include "community/detector.h"
-#include "community/fast_greedy.h"
 #include "community/infomap.h"
-#include "community/label_propagation.h"
-#include "community/louvain.h"
 #include "community/modularity.h"
 #include "community/partition.h"
 

@@ -26,13 +26,12 @@ enum class AlgorithmId : int32_t {
   kInfomap = 3,
 };
 
-/// \brief Unified options for all registered algorithms — the superset of
-/// the four legacy option structs.
+/// \brief Options for all registered algorithms.
 ///
-/// Fields held in a `std::optional` default to the consuming algorithm's
-/// legacy default when unset, so a default-constructed `CommunityOptions`
-/// reproduces every legacy `Run*` call bit-for-bit. Per-algorithm mapping
-/// (fields not listed are ignored by that algorithm):
+/// Fields held in a `std::optional` fall back to the consuming algorithm's
+/// own default when unset (the defaults are far above practical
+/// convergence). Per-algorithm mapping (fields not listed are ignored by
+/// that algorithm):
 ///
 ///   | field               | Louvain | LabelProp | FastGreedy | Infomap |
 ///   |---------------------|---------|-----------|------------|---------|
@@ -47,6 +46,8 @@ enum class AlgorithmId : int32_t {
 ///   | initial_partition   | yes     | yes       | ignored    | ignored |
 struct CommunityOptions {
   /// Seed for node-visit shuffling (Louvain, label propagation, Infomap).
+  /// Output can depend on visit order; fixing the seed makes runs
+  /// reproducible (the paper's experiments rely on one such run).
   uint64_t seed = 1;
   /// Resolution γ of the modularity objective (Louvain; 1 = paper setting).
   double resolution = 1.0;
@@ -56,7 +57,7 @@ struct CommunityOptions {
   std::optional<int> max_sweeps_per_level;
   /// Full-pass cap for label propagation. Unset: 100.
   std::optional<int> max_iterations;
-  /// Merge cap for fast-greedy; 0 means unlimited (legacy behavior).
+  /// Merge cap for fast-greedy; 0 means unlimited.
   size_t max_merges = 0;
   /// Minimum gain to continue. Louvain: modularity gain per level (unset:
   /// 1e-9). FastGreedy: a merge requires ΔQ > min_gain (unset: 0.0).
@@ -80,7 +81,7 @@ struct DetectSpec {
   CommunityOptions options;
 };
 
-/// \brief Unified result of any registered algorithm.
+/// \brief Result of any registered algorithm.
 ///
 /// Per-algorithm field population (unused counters stay at their zero
 /// defaults):
@@ -111,10 +112,11 @@ struct CommunityResult {
   /// Community merges performed (fast-greedy).
   size_t merges = 0;
   /// True when the algorithm stopped because it converged rather than
-  /// hitting an iteration/level/merge cap.
+  /// hitting an iteration/level/merge cap (fast-greedy: no candidate
+  /// merge beat `min_gain`, or none was left).
   bool converged = false;
   /// Wall-clock time of the run; filled by `Detect()` (zero when a backend
-  /// is invoked directly, e.g. through a legacy wrapper).
+  /// is invoked directly).
   double wall_time_ms = 0.0;
   /// Partition of the input nodes at each level, coarsest last (Louvain
   /// only; `level_partitions.back()` equals `partition` when non-empty).
@@ -163,20 +165,45 @@ Result<CommunityResult> Detect(const graphdb::WeightedGraph& graph,
 
 namespace internal {
 
-/// Algorithm backends, each implemented next to its legacy entry point
-/// (louvain.cc, label_propagation.cc, fast_greedy.cc, infomap.cc). The
-/// legacy `Run*` functions are thin wrappers over these, so `Detect()` and
-/// the legacy API are bit-identical by construction. Not part of the public
-/// surface — call `Detect()` instead. Note: the label-propagation and
-/// Infomap backends leave `modularity` unset (their legacy results have no
-/// such field); the registry adapters in detector.cc fill it for the
-/// unified surface.
+// The algorithm backends behind the registry, one per .cc file
+// (louvain.cc, label_propagation.cc, fast_greedy.cc, infomap.cc). Not part
+// of the public surface — call `Detect()` instead. Each fills every
+// CommunityResult field except wall_time_ms.
+
+/// Multi-level Louvain community detection (Blondel et al. 2008) — the
+/// algorithm the paper runs via the Neo4j GDS library. Phase 1 (local
+/// moving) repeatedly moves nodes to the neighbouring community with the
+/// largest positive modularity gain; phase 2 aggregates communities into
+/// supernodes (intra-community weight becomes a self-loop) and recurses.
+/// Weighted edges and self-loops are handled throughout.
 Result<CommunityResult> DetectLouvain(const graphdb::WeightedGraph& graph,
                                       const CommunityOptions& options);
+
+/// Asynchronous weighted label propagation (Raghavan et al. 2007), one of
+/// the comparison algorithms the paper recommends as future work: each
+/// node repeatedly adopts the label with the largest summed incident edge
+/// weight among its neighbours (ties broken by smaller label; visit order
+/// shuffled by seed). Terminates when a full pass changes no label.
 Result<CommunityResult> DetectLabelPropagation(
     const graphdb::WeightedGraph& graph, const CommunityOptions& options);
+
+/// Clauset–Newman–Moore greedy modularity agglomeration — the "fast greedy
+/// algorithm" used by Zhou's Chicago BSS study the paper builds on (§II).
+/// Starts from singleton communities and repeatedly merges the pair of
+/// connected communities with the largest modularity gain
+/// ΔQ(i,j) = 2·(e_ij − a_i·a_j), while that gain exceeds `min_gain` and
+/// fewer than `max_merges` merges were made. Weighted edges and
+/// self-loops are supported; complexity is O(E log E) via a lazy min-heap
+/// over candidate merges.
 Result<CommunityResult> DetectFastGreedy(const graphdb::WeightedGraph& graph,
                                          const CommunityOptions& options);
+
+/// "Infomap-lite": optimises the two-level map equation
+/// (MapEquationCodelength, infomap.h) with Louvain-style local moving +
+/// aggregation. A faithful two-level variant of the Infomap algorithm the
+/// paper lists as future-work comparison (the full Infomap adds
+/// multi-level codebooks and fine-tuning passes that rarely change
+/// two-level results on small graphs).
 Result<CommunityResult> DetectInfomap(const graphdb::WeightedGraph& graph,
                                       const CommunityOptions& options);
 

@@ -1,9 +1,8 @@
-#include "community/fast_greedy.h"
+#include "community/detector.h"
 
 #include <cmath>
 #include <queue>
 
-#include "community/detector.h"
 #include "community/modularity.h"
 
 #include "core/checked_cast.h"
@@ -166,20 +165,5 @@ Result<CommunityResult> DetectFastGreedy(const graphdb::WeightedGraph& graph,
 }
 
 }  // namespace internal
-
-Result<FastGreedyResult> RunFastGreedy(const graphdb::WeightedGraph& graph,
-                                       const FastGreedyOptions& options) {
-  CommunityOptions unified;
-  unified.max_merges = options.max_merges;
-  unified.min_gain = options.min_gain;
-  BIKEGRAPH_ASSIGN_OR_RETURN(CommunityResult detected,
-                             internal::DetectFastGreedy(graph, unified));
-  FastGreedyResult result;
-  result.partition = std::move(detected.partition);
-  result.modularity = detected.modularity;
-  result.merges = detected.merges;
-  result.converged = detected.converged;
-  return result;
-}
 
 }  // namespace bikegraph::community

@@ -1,31 +1,9 @@
 #pragma once
 
-#include <cstdint>
-
-#include "core/result.h"
 #include "community/partition.h"
 #include "graphdb/weighted_graph.h"
 
 namespace bikegraph::community {
-
-/// \brief Options for the two-level map-equation optimiser.
-struct InfomapOptions {
-  uint64_t seed = 1;
-  int max_levels = 32;
-  int max_sweeps_per_level = 64;
-  /// Minimum codelength improvement (bits) to accept a level.
-  double min_improvement = 1e-10;
-};
-
-/// \brief Result of an Infomap-lite run.
-struct InfomapResult {
-  Partition partition;
-  /// Two-level map-equation codelength (bits per step) of `partition`.
-  double codelength = 0.0;
-  /// Codelength of the all-singletons partition, for reference.
-  double singleton_codelength = 0.0;
-  int levels = 0;
-};
 
 /// \brief Two-level map-equation codelength L(M) of a partition on an
 /// undirected graph (Rosvall & Bergstrom 2008), with node visit rates
@@ -38,13 +16,5 @@ struct InfomapResult {
 /// module M. Lower is better.
 double MapEquationCodelength(const graphdb::WeightedGraph& graph,
                              const Partition& partition);
-
-/// \brief "Infomap-lite": optimises the two-level map equation with
-/// Louvain-style local moving + aggregation. This is a faithful two-level
-/// variant of the Infomap algorithm the paper lists as future-work
-/// comparison (the full Infomap adds multi-level codebooks and fine-tuning
-/// passes that rarely change two-level results on small graphs).
-Result<InfomapResult> RunInfomapLite(const graphdb::WeightedGraph& graph,
-                                     const InfomapOptions& options = {});
 
 }  // namespace bikegraph::community

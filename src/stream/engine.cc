@@ -60,7 +60,6 @@ class EngineShard {
       : reorder(ReorderBufferOptions{config.max_lateness_seconds,
                                      config.late_policy,
                                      config.suppress_duplicate_rentals,
-                                     config.reorder_backend,
                                      config.max_duplicate_rental_ids}),
         window(WindowGraphOptions{config.station_count,
                                   config.window_seconds}),
@@ -384,6 +383,10 @@ Status StreamEngine::Ingest(const TripEvent& event) {
     return Status::InvalidArgument(
         "station_positions must cover every station id");
   }
+  // The reorder buffer would refuse an out-of-range horizon on every
+  // Push; refuse it here instead, before the event reaches the WAL.
+  BIKEGRAPH_RETURN_NOT_OK(
+      ReorderBuffer::ValidateLateness(config_.max_lateness_seconds));
   // Validate endpoints at arrival: an out-of-range event parked in the
   // reorder buffer would otherwise fail a horizon later, far from the
   // caller that produced it. Rejected events are never logged — the WAL

@@ -4,37 +4,29 @@
 
 namespace bikegraph::stream {
 
-namespace {
-
-/// Wheel memory is one bucket per horizon second; past ~48 days of
-/// horizon that is >100 MB of (mostly empty) buckets, and the heap is
-/// the honest choice.
-constexpr int64_t kMaxWheelHorizonSeconds = int64_t{1} << 22;
-
-}  // namespace
+Status ReorderBuffer::ValidateLateness(int64_t max_lateness_seconds) {
+  if (max_lateness_seconds < 0) {
+    return Status::InvalidArgument("max_lateness_seconds must be >= 0");
+  }
+  if (max_lateness_seconds > kMaxLatenessSeconds) {
+    return Status::InvalidArgument(
+        "max_lateness_seconds " + std::to_string(max_lateness_seconds) +
+        " exceeds the reorder wheel's horizon limit (" +
+        std::to_string(kMaxLatenessSeconds) + "s)");
+  }
+  return Status::OK();
+}
 
 ReorderBuffer::ReorderBuffer(const ReorderBufferOptions& options)
     : options_(options) {
-  if (options_.backend == ReorderBackend::kWheel &&
-      options_.max_lateness_seconds > 0 &&
-      options_.max_lateness_seconds <= kMaxWheelHorizonSeconds) {
+  if (options_.max_lateness_seconds > 0 &&
+      options_.max_lateness_seconds <= kMaxLatenessSeconds) {
     EnsureWheel();
   }
 }
 
 Status ReorderBuffer::Push(const TripEvent& event) {
-  if (options_.max_lateness_seconds < 0) {
-    return Status::InvalidArgument("max_lateness_seconds must be >= 0");
-  }
-  if (options_.backend == ReorderBackend::kWheel &&
-      options_.max_lateness_seconds > kMaxWheelHorizonSeconds) {
-    return Status::InvalidArgument(
-        "max_lateness_seconds " +
-        std::to_string(options_.max_lateness_seconds) +
-        " exceeds the wheel backend's horizon limit (" +
-        std::to_string(kMaxWheelHorizonSeconds) +
-        "s); use ReorderBackend::kHeap for multi-month horizons");
-  }
+  BIKEGRAPH_RETURN_NOT_OK(ValidateLateness(options_.max_lateness_seconds));
   if (flushed_) {
     return Status::FailedPrecondition(
         "ReorderBuffer was flushed (end of stream); no further events may "
@@ -90,9 +82,8 @@ Status ReorderBuffer::Push(const TripEvent& event) {
   if (advances) {
     watermark_seconds_ = start;
     if (!seen_expiry_.empty()) EvictExpiredIds(HorizonCutoff());
-    if (options_.backend == ReorderBackend::kWheel && wheel_count_ > 0 &&
-        watermark_seconds_ - drained_upto_ >=
-            static_cast<int64_t>(primary_.size())) {
+    if (wheel_count_ > 0 && watermark_seconds_ - drained_upto_ >=
+                                static_cast<int64_t>(primary_.size())) {
       // A watermark jump of a whole revolution would let a new second
       // collide with a not-yet-walked older one in the same bucket;
       // spilling the releasable seconds to the FIFO first keeps every
@@ -103,9 +94,7 @@ Status ReorderBuffer::Push(const TripEvent& event) {
   }
   if (releasable) {
     const bool pending_release =
-        options_.backend == ReorderBackend::kWheel
-            ? ready_head_ < ready_.size() || wheel_count_ > 0
-            : !heap_.empty();
+        ready_head_ < ready_.size() || wheel_count_ > 0;
     if (!pending_release && !has_direct_) {
       direct_ = event;
       has_direct_ = true;
@@ -124,44 +113,15 @@ Status ReorderBuffer::Push(const TripEvent& event) {
           (start == direct_start && event.rental_id < direct_.rental_id)) {
         const TripEvent displaced = direct_;
         direct_ = event;
-        if (options_.backend == ReorderBackend::kWheel) {
-          ParkWheelReleasable(displaced);
-        } else {
-          PushToHeap(displaced);
-        }
+        ParkWheelReleasable(displaced);
         return Status::OK();
       }
     }
-    if (options_.backend == ReorderBackend::kWheel) {
-      ParkWheelReleasable(event);
-    } else {
-      PushToHeap(event);
-    }
+    ParkWheelReleasable(event);
     return Status::OK();
   }
-  if (options_.backend == ReorderBackend::kWheel) {
-    PushToWheel(event);
-  } else {
-    PushToHeap(event);
-  }
+  PushToWheel(event);
   return Status::OK();
-}
-
-uint32_t ReorderBuffer::AllocSlot(const TripEvent& event) {
-  if (free_slots_.empty()) {
-    const auto slot = static_cast<uint32_t>(slots_.size());
-    slots_.push_back(event);
-    return slot;
-  }
-  const uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  slots_[slot] = event;
-  return slot;
-}
-
-void ReorderBuffer::PushToHeap(const TripEvent& event) {
-  heap_.push(HeapKey{event.start_time.seconds_since_epoch(),
-                     event.rental_id, AllocSlot(event)});
 }
 
 void ReorderBuffer::EnsureWheel() {
@@ -282,36 +242,12 @@ void ReorderBuffer::DrainWheelUpTo(int64_t upto) {
     return;
   }
   // Same walk as WalkWheel, but spilling into the ready FIFO instead of
-  // a visitor — the big-jump and PopReady fallbacks.
-  ForEachOccupiedSecond(occupancy_, primary_.size(), drained_upto_, upto,
-                        [&](int64_t second, size_t bucket) {
-                          DrainBucketToReady(second, bucket);
-                          return wheel_count_ > 0;
-                        });
+  // a visitor — the big-jump fallback.
+  ForEachOccupiedSecond(upto, [&](int64_t second, size_t bucket) {
+    DrainBucketToReady(second, bucket);
+    return wheel_count_ > 0;
+  });
   drained_upto_ = upto;
-}
-
-bool ReorderBuffer::DrainWheelNextSecond(int64_t limit) {
-  bool found = false;
-  ForEachOccupiedSecond(occupancy_, primary_.size(), drained_upto_, limit,
-                        [&](int64_t second, size_t bucket) {
-                          DrainBucketToReady(second, bucket);
-                          drained_upto_ = second;
-                          found = true;
-                          return false;  // one second only
-                        });
-  if (!found) drained_upto_ = limit;
-  return found;
-}
-
-bool ReorderBuffer::HasOccupiedSecondUpTo(int64_t limit) const {
-  bool found = false;
-  ForEachOccupiedSecond(occupancy_, primary_.size(), drained_upto_, limit,
-                        [&](int64_t, size_t) {
-                          found = true;
-                          return false;
-                        });
-  return found;
 }
 
 void ReorderBuffer::FifoInsertSorted(const TripEvent& event) {
@@ -334,16 +270,15 @@ void ReorderBuffer::AdvanceWatermark(CivilTime watermark) {
   if (seconds <= watermark_seconds_) return;
   watermark_seconds_ = seconds;
   if (!seen_expiry_.empty()) EvictExpiredIds(HorizonCutoff());
-  if (options_.backend == ReorderBackend::kWheel && wheel_count_ > 0 &&
-      watermark_seconds_ - drained_upto_ >=
-          static_cast<int64_t>(primary_.size())) {
+  if (wheel_count_ > 0 && watermark_seconds_ - drained_upto_ >=
+                              static_cast<int64_t>(primary_.size())) {
     DrainWheelUpTo(HorizonCutoff());  // see Push: keeps buckets one-second
   }
 }
 
 void ReorderBuffer::Flush() {
   // Raises WheelReleaseLimit() to the watermark; the next release walk
-  // or pop hands the remaining events out in order.
+  // hands the remaining events out in order.
   flushed_ = true;
 }
 
@@ -370,9 +305,10 @@ ReorderBufferState ReorderBuffer::ExportState() const {
   ReorderBuffer drain(*this);
   drain.flushed_ = true;
   state.buffered.reserve(buffered_count());
-  while (auto event = drain.PopReady()) {
-    state.buffered.push_back(*event);
-  }
+  (void)drain.ForEachReady([&](const TripEvent& event) {
+    state.buffered.push_back(event);
+    return Status::OK();
+  });
   return state;
 }
 
@@ -394,9 +330,9 @@ Status ReorderBuffer::RestoreState(const ReorderBufferState& state) {
     }
     seen_expiry_.emplace(start, id);
   }
-  // Re-park the held events. They are backend-neutral release order, so
-  // ascending (start, rental id) — exactly what the wheel's
-  // one-second-per-bucket invariant and the heap both accept.
+  // Re-park the held events. They are in release order, so ascending
+  // (start, rental id) — exactly what the wheel's one-second-per-bucket
+  // invariant accepts.
   const int64_t cutoff = HorizonCutoff();
   int64_t prev_start = INT64_MIN;
   int64_t prev_id = INT64_MIN;
@@ -413,9 +349,7 @@ Status ReorderBuffer::RestoreState(const ReorderBufferState& state) {
           "checkpointed buffered event at " + event.start_time.ToString() +
           " lies outside (horizon, watermark]");
     }
-    if (options_.backend == ReorderBackend::kHeap) {
-      PushToHeap(event);
-    } else if (flushed_ || start <= cutoff) {
+    if (flushed_ || start <= cutoff) {
       // Already releasable: the FIFO drains before the bucket walk, and
       // the events arrive here in release order.
       ready_.push_back(event);

@@ -1,19 +1,13 @@
-// Locks the unified detection API to the legacy entry points: every legacy
-// Run* call and its Detect() counterpart must return identical partitions
-// (and matching counters) on randomized graphs, the name round-trip must
-// hold for every registry entry, and bad names/options must surface proper
-// Status errors.
+// The detection API: the name round-trip must hold for every registry
+// entry, bad names/options must surface proper Status errors, and every
+// algorithm must fill the result fields its contract names.
 
 #include "community/detector.h"
 
 #include "core/checked_cast.h"
 
-#include "community/fast_greedy.h"
 #include "community/infomap.h"
-#include "community/label_propagation.h"
-#include "community/louvain.h"
 #include "community/modularity.h"
-#include "core/rng.h"
 
 #include <cmath>
 #include <limits>
@@ -27,22 +21,6 @@ namespace {
 
 using graphdb::WeightedGraph;
 using graphdb::WeightedGraphBuilder;
-
-/// Random weighted graph: n nodes, each pair present with probability p,
-/// weights in (0, 4]; occasionally a self-loop. Deterministic in `seed`.
-WeightedGraph RandomGraph(uint64_t seed, int n, double p) {
-  Rng rng(seed);
-  WeightedGraphBuilder b(AsIndex(n));
-  for (int u = 0; u < n; ++u) {
-    for (int v = u + 1; v < n; ++v) {
-      if (rng.NextDouble() < p) {
-        (void)b.AddEdge(u, v, 0.25 + 3.75 * rng.NextDouble());
-      }
-    }
-    if (rng.NextDouble() < 0.05) (void)b.AddEdge(u, u, rng.NextDouble());
-  }
-  return b.Build();
-}
 
 /// Two cliques of size k with a weak bridge — planted structure for the
 /// behavioral checks.
@@ -59,139 +37,7 @@ WeightedGraph TwoCliques(int k) {
 }
 
 // ---------------------------------------------------------------------------
-// (a) Legacy Run* <-> Detect() equivalence on randomized graphs.
-// ---------------------------------------------------------------------------
-
-TEST(DetectorEquivalenceTest, LouvainMatchesLegacyOnRandomGraphs) {
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    WeightedGraph g = RandomGraph(seed, 8 + static_cast<int>(seed) * 5,
-                                  seed % 2 ? 0.15 : 0.4);
-    LouvainOptions legacy;
-    legacy.seed = seed * 7;
-    legacy.resolution = seed % 3 == 0 ? 0.5 : 1.0;
-
-    DetectSpec spec;
-    spec.algorithm = AlgorithmId::kLouvain;
-    spec.options.seed = legacy.seed;
-    spec.options.resolution = legacy.resolution;
-
-    auto old_api = RunLouvain(g, legacy);
-    auto new_api = Detect(g, spec);
-    ASSERT_TRUE(old_api.ok()) << old_api.status();
-    ASSERT_TRUE(new_api.ok()) << new_api.status();
-    EXPECT_EQ(new_api->partition.assignment, old_api->partition.assignment)
-        << "seed " << seed;
-    EXPECT_DOUBLE_EQ(new_api->modularity, old_api->modularity);
-    EXPECT_EQ(new_api->levels, old_api->levels);
-    ASSERT_EQ(new_api->level_partitions.size(),
-              old_api->level_partitions.size());
-    for (size_t l = 0; l < new_api->level_partitions.size(); ++l) {
-      EXPECT_EQ(new_api->level_partitions[l].assignment,
-                old_api->level_partitions[l].assignment);
-    }
-    EXPECT_EQ(new_api->algorithm, AlgorithmId::kLouvain);
-    EXPECT_DOUBLE_EQ(new_api->quality, new_api->modularity);
-  }
-}
-
-TEST(DetectorEquivalenceTest, LabelPropagationMatchesLegacyOnRandomGraphs) {
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    WeightedGraph g = RandomGraph(seed * 31, 6 + static_cast<int>(seed) * 4,
-                                  0.3);
-    LabelPropagationOptions legacy;
-    legacy.seed = seed;
-    legacy.max_iterations = seed % 4 == 0 ? 3 : 100;
-
-    DetectSpec spec;
-    spec.algorithm = AlgorithmId::kLabelPropagation;
-    spec.options.seed = legacy.seed;
-    spec.options.max_iterations = legacy.max_iterations;
-
-    auto old_api = RunLabelPropagation(g, legacy);
-    auto new_api = Detect(g, spec);
-    ASSERT_TRUE(old_api.ok()) << old_api.status();
-    ASSERT_TRUE(new_api.ok()) << new_api.status();
-    EXPECT_EQ(new_api->partition.assignment, old_api->partition.assignment)
-        << "seed " << seed;
-    EXPECT_EQ(new_api->iterations, old_api->iterations);
-    EXPECT_EQ(new_api->converged, old_api->converged);
-  }
-}
-
-TEST(DetectorEquivalenceTest, FastGreedyMatchesLegacyOnRandomGraphs) {
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    WeightedGraph g = RandomGraph(seed * 101, 8 + static_cast<int>(seed) * 4,
-                                  0.25);
-    DetectSpec spec;
-    spec.algorithm = AlgorithmId::kFastGreedy;
-
-    auto old_api = RunFastGreedy(g);
-    auto new_api = Detect(g, spec);
-    ASSERT_TRUE(old_api.ok()) << old_api.status();
-    ASSERT_TRUE(new_api.ok()) << new_api.status();
-    EXPECT_EQ(new_api->partition.assignment, old_api->partition.assignment)
-        << "seed " << seed;
-    EXPECT_DOUBLE_EQ(new_api->modularity, old_api->modularity);
-    EXPECT_EQ(new_api->merges, old_api->merges);
-    EXPECT_EQ(new_api->converged, old_api->converged);
-  }
-}
-
-TEST(DetectorEquivalenceTest, InfomapMatchesLegacyOnRandomGraphs) {
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    WeightedGraph g = RandomGraph(seed * 977, 6 + static_cast<int>(seed) * 4,
-                                  0.35);
-    InfomapOptions legacy;
-    legacy.seed = seed * 3;
-
-    DetectSpec spec;
-    spec.algorithm = AlgorithmId::kInfomap;
-    spec.options.seed = legacy.seed;
-
-    auto old_api = RunInfomapLite(g, legacy);
-    auto new_api = Detect(g, spec);
-    ASSERT_TRUE(old_api.ok()) << old_api.status();
-    ASSERT_TRUE(new_api.ok()) << new_api.status();
-    EXPECT_EQ(new_api->partition.assignment, old_api->partition.assignment)
-        << "seed " << seed;
-    EXPECT_DOUBLE_EQ(new_api->quality, old_api->codelength);
-    EXPECT_DOUBLE_EQ(new_api->singleton_quality,
-                     old_api->singleton_codelength);
-    EXPECT_EQ(new_api->levels, old_api->levels);
-  }
-}
-
-TEST(DetectorEquivalenceTest, DefaultOptionsMatchLegacyDefaults) {
-  // A default-constructed CommunityOptions must reproduce every legacy
-  // default-options call exactly (the per-algorithm defaulting contract).
-  WeightedGraph g = RandomGraph(42, 40, 0.2);
-  for (AlgorithmId id : ListAlgorithms()) {
-    DetectSpec spec;
-    spec.algorithm = id;
-    auto unified = Detect(g, spec);
-    ASSERT_TRUE(unified.ok()) << AlgorithmName(id);
-    Partition legacy;
-    switch (id) {
-      case AlgorithmId::kLouvain:
-        legacy = RunLouvain(g)->partition;
-        break;
-      case AlgorithmId::kLabelPropagation:
-        legacy = RunLabelPropagation(g)->partition;
-        break;
-      case AlgorithmId::kFastGreedy:
-        legacy = RunFastGreedy(g)->partition;
-        break;
-      case AlgorithmId::kInfomap:
-        legacy = RunInfomapLite(g)->partition;
-        break;
-    }
-    EXPECT_EQ(unified->partition.assignment, legacy.assignment)
-        << AlgorithmName(id);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// (b) Registry and name round-trip.
+// (a) Registry and name round-trip.
 // ---------------------------------------------------------------------------
 
 TEST(DetectorRegistryTest, ListsAllFourAlgorithms) {
@@ -236,7 +82,7 @@ TEST(DetectorRegistryTest, RegistryEntriesRunThroughFunctionPointers) {
 }
 
 // ---------------------------------------------------------------------------
-// (c) Error paths.
+// (b) Error paths.
 // ---------------------------------------------------------------------------
 
 TEST(DetectorErrorTest, UnknownNameReturnsNotFound) {
@@ -309,48 +155,39 @@ TEST(DetectorErrorTest, InvalidOptionsReturnInvalidArgument) {
 }
 
 // ---------------------------------------------------------------------------
-// Unified-surface behavior: FastGreedyOptions satellite and result fields.
+// Fast-greedy merge options and result fields.
 // ---------------------------------------------------------------------------
 
-TEST(FastGreedyOptionsTest, MergeCapStopsEarlyAndClearsConverged) {
+TEST(FastGreedyStopRuleTest, MergeCapStopsEarlyAndClearsConverged) {
   WeightedGraph g = TwoCliques(8);  // full run needs 14 merges
-  auto full = RunFastGreedy(g);
+  auto full = Detect(g, {AlgorithmId::kFastGreedy, {}});
   ASSERT_TRUE(full.ok());
   EXPECT_TRUE(full->converged);
   ASSERT_GT(full->merges, 3u);
 
-  FastGreedyOptions capped;
+  CommunityOptions capped;
   capped.max_merges = 3;
-  auto partial = RunFastGreedy(g, capped);
+  auto partial = Detect(g, {AlgorithmId::kFastGreedy, capped});
   ASSERT_TRUE(partial.ok());
   EXPECT_EQ(partial->merges, 3u);
   EXPECT_FALSE(partial->converged);
   EXPECT_EQ(partial->partition.CommunityCount(), g.node_count() - 3);
 
-  // The same cap through the unified surface.
-  DetectSpec spec;
-  spec.algorithm = AlgorithmId::kFastGreedy;
-  spec.options.max_merges = 3;
-  auto unified = Detect(g, spec);
-  ASSERT_TRUE(unified.ok());
-  EXPECT_EQ(unified->partition.assignment, partial->partition.assignment);
-  EXPECT_FALSE(unified->converged);
-
   // A cap equal to the natural merge count forgoes nothing: still converged.
-  FastGreedyOptions exact;
+  CommunityOptions exact;
   exact.max_merges = full->merges;
-  auto at_cap = RunFastGreedy(g, exact);
+  auto at_cap = Detect(g, {AlgorithmId::kFastGreedy, exact});
   ASSERT_TRUE(at_cap.ok());
   EXPECT_EQ(at_cap->merges, full->merges);
   EXPECT_TRUE(at_cap->converged);
   EXPECT_EQ(at_cap->partition.assignment, full->partition.assignment);
 }
 
-TEST(FastGreedyOptionsTest, HighMinGainStopsMergingEntirely) {
+TEST(FastGreedyStopRuleTest, HighMinGainStopsMergingEntirely) {
   WeightedGraph g = TwoCliques(6);
-  FastGreedyOptions opts;
+  CommunityOptions opts;
   opts.min_gain = 1.0;  // no pair can beat ΔQ > 1
-  auto r = RunFastGreedy(g, opts);
+  auto r = Detect(g, {AlgorithmId::kFastGreedy, opts});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->merges, 0u);
   EXPECT_TRUE(r->converged);
@@ -367,6 +204,9 @@ TEST(DetectorResultTest, ConvergedAndWallTimeArePopulated) {
     EXPECT_TRUE(r->converged) << AlgorithmName(id);
     EXPECT_GE(r->wall_time_ms, 0.0);
     EXPECT_GT(r->modularity, 0.3) << AlgorithmName(id);
+    // Every backend reports the γ = 1 modularity of its own partition.
+    EXPECT_DOUBLE_EQ(r->modularity, Modularity(g, r->partition))
+        << AlgorithmName(id);
   }
 }
 

@@ -193,9 +193,9 @@ TEST(WarmStartTest, FastGreedyAndInfomapIgnoreSeed) {
   }
 }
 
-// The legacy Run* wrappers never set the field, so they keep matching the
-// unseeded Detect() exactly (spot check on Louvain).
-TEST(WarmStartTest, UnsetFieldKeepsLegacyWrapperEquivalence) {
+// A direct backend call with the field unset matches the unseeded
+// Detect() exactly (spot check on Louvain).
+TEST(WarmStartTest, UnsetFieldMatchesDirectBackendCall) {
   WeightedGraph g = CliqueRing(5, 7, 31);
   DetectSpec spec;
   auto detect = Detect(g, spec);

@@ -11,7 +11,7 @@
 
 #include "cluster/hac.h"
 #include "community/aggregate.h"
-#include "community/louvain.h"
+#include "community/detector.h"
 #include "community/modularity.h"
 #include "community/partition.h"
 #include "core/rng.h"
@@ -32,11 +32,12 @@ using cluster::DenseHacGeo;
 using cluster::Linkage;
 using cluster::ThresholdCompleteLinkage;
 using community::AggregateByPartition;
+using community::AlgorithmId;
+using community::CommunityOptions;
 using community::ComposePartitions;
-using community::LouvainOptions;
+using community::Detect;
 using community::Modularity;
 using community::Partition;
-using community::RunLouvain;
 using geo::LatLon;
 using graphdb::WeightedGraph;
 using graphdb::WeightedGraphBuilder;
@@ -178,7 +179,7 @@ struct RefLocalMoveOutcome {
 };
 
 RefLocalMoveOutcome RefLocalMoving(const WeightedGraph& g,
-                                   const LouvainOptions& options, Rng* rng) {
+                                   const CommunityOptions& options, Rng* rng) {
   const size_t n = g.node_count();
   const double m = g.total_weight();
   RefLocalMoveOutcome out;
@@ -195,7 +196,8 @@ RefLocalMoveOutcome RefLocalMoving(const WeightedGraph& g,
 
   std::deque<int32_t> queue(order.begin(), order.end());
   std::vector<char> in_queue(n, 1);
-  size_t budget = static_cast<size_t>(options.max_sweeps_per_level) * n;
+  size_t budget =
+      static_cast<size_t>(options.max_sweeps_per_level.value_or(128)) * n;
   bool any_move = false;
   while (!queue.empty() && budget > 0) {
     --budget;
@@ -240,9 +242,9 @@ RefLocalMoveOutcome RefLocalMoving(const WeightedGraph& g,
   return out;
 }
 
-community::LouvainResult RefLouvain(const WeightedGraph& graph,
-                                    const LouvainOptions& options) {
-  community::LouvainResult result;
+community::CommunityResult RefLouvain(const WeightedGraph& graph,
+                                      const CommunityOptions& options) {
+  community::CommunityResult result;
   const size_t n = graph.node_count();
   result.partition = Partition::Singletons(n);
   if (n == 0) return result;
@@ -251,14 +253,14 @@ community::LouvainResult RefLouvain(const WeightedGraph& graph,
   WeightedGraph owned;
   Partition cumulative = Partition::Singletons(n);
   double best_q = Modularity(graph, cumulative, options.resolution);
-  for (int level = 0; level < options.max_levels; ++level) {
+  for (int level = 0; level < options.max_levels.value_or(64); ++level) {
     RefLocalMoveOutcome outcome = RefLocalMoving(*level_graph, options, &rng);
     if (!outcome.improved) break;
     Partition candidate = ComposePartitions(cumulative, outcome.partition);
     candidate.Renumber();
     const double q =
         Modularity(*level_graph, outcome.partition, options.resolution);
-    if (q <= best_q + options.min_gain) break;
+    if (q <= best_q + options.min_gain.value_or(1e-9)) break;
     best_q = q;
     cumulative = candidate;
     result.level_partitions.push_back(candidate);
@@ -288,9 +290,9 @@ WeightedGraph RandomGraph(size_t n, double edge_rate, uint64_t seed) {
 TEST(FlatLouvainTest, MatchesMapReferenceOnRandomGraphs) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     WeightedGraph g = RandomGraph(40 + 15 * seed, 3.0, seed * 77);
-    LouvainOptions opts;
+    CommunityOptions opts;
     opts.seed = seed;
-    auto flat = RunLouvain(g, opts);
+    auto flat = Detect(g, {AlgorithmId::kLouvain, opts});
     ASSERT_TRUE(flat.ok());
     auto ref = RefLouvain(g, opts);
     EXPECT_EQ(flat->partition.assignment, ref.partition.assignment)
@@ -312,9 +314,9 @@ TEST(FlatLouvainTest, MatchesMapReferenceOnCliqueRing) {
     (void)b.AddEdge(q * 8, ((q + 1) % 10) * 8 + 1, 0.5);
   }
   WeightedGraph g = b.Build();
-  auto flat = RunLouvain(g);
+  auto flat = Detect(g, {AlgorithmId::kLouvain, {}});
   ASSERT_TRUE(flat.ok());
-  auto ref = RefLouvain(g, LouvainOptions{});
+  auto ref = RefLouvain(g, CommunityOptions{});
   EXPECT_EQ(flat->partition.assignment, ref.partition.assignment);
   EXPECT_EQ(flat->modularity, ref.modularity);
 }

@@ -111,6 +111,11 @@ TEST(StreamEngineTest, ReaderPollsStatsWhileIngestionFreezes) {
     // do-while: on a single-CPU host the ingestion loop can finish
     // before this thread first runs; poll at least once regardless.
     do {
+      // Publish stores the snapshot before it bumps the epoch counter, so
+      // an epoch read first is already retrievable, and a snapshot read
+      // before the counter can be ahead of it by the one publish still
+      // in flight.
+      const uint64_t epoch_before = engine.publisher().epoch();
       auto snap = engine.LatestSnapshot();
       // Counters after the acquire load: the publish's release store
       // makes the writer's pre-publish increment visible here.
@@ -118,7 +123,8 @@ TEST(StreamEngineTest, ReaderPollsStatsWhileIngestionFreezes) {
       const uint64_t full = engine.full_freeze_count();
       if (snap != nullptr) {
         ASSERT_GT(delta + full, 0u);
-        ASSERT_LE(snap->epoch, engine.publisher().epoch());
+        ASSERT_GE(snap->epoch, epoch_before);
+        ASSERT_LE(snap->epoch, engine.publisher().epoch() + 1);
       }
     } while (!done.load(std::memory_order_acquire));
   });

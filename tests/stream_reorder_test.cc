@@ -7,6 +7,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <limits>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -56,45 +60,54 @@ bool IsStartOrdered(const std::vector<TripEvent>& events) {
   return true;
 }
 
+/// Releases every ready event through ForEachReady, the buffer's one
+/// release path.
+std::vector<TripEvent> Release(ReorderBuffer& buffer) {
+  std::vector<TripEvent> released;
+  EXPECT_TRUE(buffer
+                  .ForEachReady([&](const TripEvent& e) {
+                    released.push_back(e);
+                    return Status::OK();
+                  })
+                  .ok());
+  return released;
+}
+
+std::vector<int64_t> ReleaseIds(ReorderBuffer& buffer) {
+  std::vector<int64_t> ids;
+  for (const TripEvent& e : Release(buffer)) ids.push_back(e.rental_id);
+  return ids;
+}
+
 // ---------------------------------------------------------------------------
-// ReorderBuffer unit behaviour — identical for both backends, so every
-// test here runs against the heap AND the timing wheel.
+// ReorderBuffer unit behaviour.
 // ---------------------------------------------------------------------------
 
-class ReorderBufferTest : public ::testing::TestWithParam<ReorderBackend> {
+class ReorderBufferTest : public ::testing::Test {
  protected:
-  ReorderBufferOptions Opts(
+  static ReorderBufferOptions Opts(
       int64_t max_lateness_seconds = 0,
       LateEventPolicy late_policy = LateEventPolicy::kError,
-      bool suppress_duplicates = false) const {
+      bool suppress_duplicates = false) {
     return ReorderBufferOptions{max_lateness_seconds, late_policy,
-                                suppress_duplicates, GetParam()};
+                                suppress_duplicates};
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ReorderBufferTest,
-    ::testing::Values(ReorderBackend::kHeap, ReorderBackend::kWheel),
-    [](const ::testing::TestParamInfo<ReorderBackend>& param_info) {
-      return param_info.param == ReorderBackend::kHeap ? "Heap" : "Wheel";
-    });
-
-TEST_P(ReorderBufferTest, StrictModeIsPassThrough) {
+TEST_F(ReorderBufferTest, StrictModeIsPassThrough) {
   ReorderBuffer buffer(Opts());  // max_lateness 0, kError: the pre-buffer
                                  // contract
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 8), 1)).ok());
-  auto released = buffer.PopReady();
-  ASSERT_TRUE(released.has_value());
-  EXPECT_EQ(released->rental_id, 1);
+  EXPECT_EQ(ReleaseIds(buffer), (std::vector<int64_t>{1}));
   // Equal start times are fine, a regression is not.
   ASSERT_TRUE(buffer.Push(Trip(1, 0, At(6, 8), 2)).ok());
-  EXPECT_TRUE(buffer.PopReady().has_value());
+  EXPECT_EQ(ReleaseIds(buffer), (std::vector<int64_t>{2}));
   auto late = buffer.Push(Trip(0, 1, At(6, 7), 3));
   EXPECT_EQ(late.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(buffer.reordered_count(), 0u);
 }
 
-TEST_P(ReorderBufferTest, ReordersWithinHorizon) {
+TEST_F(ReorderBufferTest, ReordersWithinHorizon) {
   ReorderBuffer buffer(Opts(3600));
   // Arrival order 10:00, 9:30, 10:20, 9:40 — all within an hour of the
   // running watermark.
@@ -105,12 +118,12 @@ TEST_P(ReorderBufferTest, ReordersWithinHorizon) {
   }
   EXPECT_EQ(buffer.reordered_count(), 2u);  // 9:30 and 9:40 arrived late
   EXPECT_EQ(buffer.buffered_count(), 4u);
-  EXPECT_FALSE(buffer.HasReady());  // nothing is an hour behind 10:20 yet
+  EXPECT_TRUE(Release(buffer).empty());  // nothing is an hour behind 10:20
 
   buffer.AdvanceWatermark(At(6, 11, 20));
   std::vector<int64_t> released;
-  while (auto e = buffer.PopReady()) {
-    released.push_back(e->start_time.seconds_since_epoch());
+  for (const TripEvent& e : Release(buffer)) {
+    released.push_back(e.start_time.seconds_since_epoch());
   }
   // Everything up to 10:20 is now safe, and comes out in start order.
   ASSERT_EQ(released.size(), 4u);
@@ -118,18 +131,16 @@ TEST_P(ReorderBufferTest, ReordersWithinHorizon) {
   EXPECT_EQ(buffer.released_count(), 4u);
 }
 
-TEST_P(ReorderBufferTest, TiesReleaseInRentalIdOrder) {
+TEST_F(ReorderBufferTest, TiesReleaseInRentalIdOrder) {
   ReorderBuffer buffer(Opts(600));
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 8), 9)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 8), 3)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 8), 7)).ok());
   buffer.Flush();
-  std::vector<int64_t> ids;
-  while (auto e = buffer.PopReady()) ids.push_back(e->rental_id);
-  EXPECT_EQ(ids, (std::vector<int64_t>{3, 7, 9}));
+  EXPECT_EQ(ReleaseIds(buffer), (std::vector<int64_t>{3, 7, 9}));
 }
 
-TEST_P(ReorderBufferTest, TiesReleaseInRentalIdOrderThroughTheDirectSlot) {
+TEST_F(ReorderBufferTest, TiesReleaseInRentalIdOrderThroughTheDirectSlot) {
   // Strict mode: both events are releasable on arrival, so the first
   // occupies the direct slot. The smaller rental id arriving second must
   // still come out first.
@@ -137,9 +148,7 @@ TEST_P(ReorderBufferTest, TiesReleaseInRentalIdOrderThroughTheDirectSlot) {
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 8), 9)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 8), 3)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 8), 7)).ok());
-  std::vector<int64_t> ids;
-  while (auto e = buffer.PopReady()) ids.push_back(e->rental_id);
-  EXPECT_EQ(ids, (std::vector<int64_t>{3, 7, 9}));
+  EXPECT_EQ(ReleaseIds(buffer), (std::vector<int64_t>{3, 7, 9}));
 }
 
 TEST(JitterModelTest, HasBoundedNonDecreasingReportTimes) {
@@ -159,19 +168,18 @@ TEST(JitterModelTest, HasBoundedNonDecreasingReportTimes) {
   }
 }
 
-TEST_P(ReorderBufferTest, LateDropPolicyCountsAndDiscards) {
+TEST_F(ReorderBufferTest, LateDropPolicyCountsAndDiscards) {
   ReorderBuffer buffer(Opts(600, LateEventPolicy::kDrop));
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 10), 1)).ok());
   // 20 minutes behind a 10-minute horizon: dropped, not an error.
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 9, 40), 2)).ok());
   EXPECT_EQ(buffer.late_dropped_count(), 1u);
   buffer.Flush();
-  std::vector<int64_t> ids;
-  while (auto e = buffer.PopReady()) ids.push_back(e->rental_id);
-  EXPECT_EQ(ids, (std::vector<int64_t>{1}));  // the late event never releases
+  // The late event never releases.
+  EXPECT_EQ(ReleaseIds(buffer), (std::vector<int64_t>{1}));
 }
 
-TEST_P(ReorderBufferTest, LateErrorPolicyRefuses) {
+TEST_F(ReorderBufferTest, LateErrorPolicyRefuses) {
   ReorderBuffer buffer(Opts(600, LateEventPolicy::kError));
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 10), 1)).ok());
   auto late = buffer.Push(Trip(0, 1, At(6, 9, 40), 2));
@@ -181,7 +189,7 @@ TEST_P(ReorderBufferTest, LateErrorPolicyRefuses) {
   EXPECT_TRUE(buffer.Push(Trip(0, 1, At(6, 9, 50), 3)).ok());
 }
 
-TEST_P(ReorderBufferTest, DuplicateRentalIdsAreSuppressed) {
+TEST_F(ReorderBufferTest, DuplicateRentalIdsAreSuppressed) {
   ReorderBuffer buffer(Opts(3600, LateEventPolicy::kDrop, true));
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 10), 42)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 10), 42)).ok());  // redelivery
@@ -199,7 +207,7 @@ TEST_P(ReorderBufferTest, DuplicateRentalIdsAreSuppressed) {
   EXPECT_EQ(buffer.late_dropped_count(), 1u);
 }
 
-TEST_P(ReorderBufferTest, InvalidIdsAreNeverSuppressed) {
+TEST_F(ReorderBufferTest, InvalidIdsAreNeverSuppressed) {
   ReorderBuffer buffer(Opts(3600, LateEventPolicy::kError, true));
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 10), data::kInvalidId)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 10), data::kInvalidId)).ok());
@@ -207,53 +215,62 @@ TEST_P(ReorderBufferTest, InvalidIdsAreNeverSuppressed) {
   EXPECT_EQ(buffer.buffered_count(), 2u);
 }
 
-TEST_P(ReorderBufferTest, FlushDrainsAndSealsTheStream) {
+TEST_F(ReorderBufferTest, FlushDrainsAndSealsTheStream) {
   ReorderBuffer buffer(Opts(7200));
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 10), 2)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 9), 1)).ok());
-  EXPECT_FALSE(buffer.HasReady());
+  EXPECT_TRUE(Release(buffer).empty());
   buffer.Flush();
-  EXPECT_TRUE(buffer.HasReady());
-  EXPECT_EQ(buffer.PopReady()->rental_id, 1);
-  EXPECT_EQ(buffer.PopReady()->rental_id, 2);
-  EXPECT_FALSE(buffer.PopReady().has_value());
+  EXPECT_EQ(ReleaseIds(buffer), (std::vector<int64_t>{1, 2}));
+  EXPECT_TRUE(Release(buffer).empty());
   // End of stream means end of stream.
   EXPECT_EQ(buffer.Push(Trip(0, 1, At(6, 11), 3)).code(),
             StatusCode::kFailedPrecondition);
 }
 
-TEST_P(ReorderBufferTest, NegativeLatenessIsRejected) {
+TEST_F(ReorderBufferTest, NegativeLatenessIsRejected) {
   ReorderBuffer buffer(Opts(-1));
   EXPECT_EQ(buffer.Push(Trip(0, 1, At(6, 10), 1)).code(),
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(ReorderBufferTest, HorizonBeyondTheWheelLimitIsRejected) {
+  // The wheel keeps one bucket per horizon second; the limit itself is
+  // accepted, one second more is refused rather than allocated.
+  EXPECT_TRUE(
+      ReorderBuffer::ValidateLateness(ReorderBuffer::kMaxLatenessSeconds)
+          .ok());
+  ReorderBuffer beyond(Opts(ReorderBuffer::kMaxLatenessSeconds + 1));
+  EXPECT_EQ(beyond.Push(Trip(0, 1, At(6, 10), 1)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(beyond.buffered_count(), 0u);
+}
+
 // ---------------------------------------------------------------------------
-// Wheel-specific behaviour: boundary stragglers after their second was
-// walked, and watermark jumps past a whole wheel revolution.
+// Wheel edge cases: boundary stragglers after their second was walked,
+// and watermark jumps past a whole wheel revolution.
 // ---------------------------------------------------------------------------
 
 TEST(ReorderBufferWheelTest, BoundaryStragglerAfterWalkReleasesInOrder) {
   ReorderBufferOptions options;
   options.max_lateness_seconds = 600;
-  options.backend = ReorderBackend::kWheel;
   ReorderBuffer buffer(options);
   const CivilTime t0 = At(6, 10);
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t0, 1)).ok());
   // Watermark to t0+600: t0 hits the horizon exactly and releases.
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t0.AddSeconds(600), 2)).ok());
-  EXPECT_EQ(buffer.PopReady()->rental_id, 1);  // walk passes second t0
+  // The walk passes second t0.
+  EXPECT_EQ(ReleaseIds(buffer), (std::vector<int64_t>{1}));
   // A straggler at exactly the cutoff (== t0) is still admissible and
   // immediately releasable — its second was already walked, so it takes
   // the FIFO path, and must still precede everything younger.
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t0, 3)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t0.AddSeconds(1), 4)).ok());
-  EXPECT_EQ(buffer.PopReady()->rental_id, 3);
-  EXPECT_FALSE(buffer.PopReady().has_value());  // 4 and 2 still held
+  // 4 and 2 are still held.
+  EXPECT_EQ(ReleaseIds(buffer), (std::vector<int64_t>{3}));
   buffer.Flush();
-  EXPECT_EQ(buffer.PopReady()->rental_id, 4);
-  EXPECT_EQ(buffer.PopReady()->rental_id, 2);
-  EXPECT_FALSE(buffer.PopReady().has_value());
+  EXPECT_EQ(ReleaseIds(buffer), (std::vector<int64_t>{4, 2}));
+  EXPECT_TRUE(Release(buffer).empty());
 }
 
 TEST(ReorderBufferWheelTest, WatermarkJumpPastOneRevolutionStaysOrdered) {
@@ -262,7 +279,6 @@ TEST(ReorderBufferWheelTest, WatermarkJumpPastOneRevolutionStaysOrdered) {
   // held second in order (the emergency drain path).
   ReorderBufferOptions options;
   options.max_lateness_seconds = 64;
-  options.backend = ReorderBackend::kWheel;
   ReorderBuffer buffer(options);
   const CivilTime t0 = At(6, 10);
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t0.AddSeconds(30), 2)).ok());
@@ -270,9 +286,7 @@ TEST(ReorderBufferWheelTest, WatermarkJumpPastOneRevolutionStaysOrdered) {
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t0.AddSeconds(60), 3)).ok());
   EXPECT_EQ(buffer.buffered_count(), 3u);
   buffer.AdvanceWatermark(t0.AddSeconds(10000));
-  std::vector<int64_t> ids;
-  while (auto e = buffer.PopReady()) ids.push_back(e->rental_id);
-  EXPECT_EQ(ids, (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(ReleaseIds(buffer), (std::vector<int64_t>{1, 2, 3}));
   // New events deep into a later revolution still work (same buckets,
   // new seconds), including one landing exactly on the new cutoff.
   const CivilTime t1 = t0.AddSeconds(10000);
@@ -280,48 +294,159 @@ TEST(ReorderBufferWheelTest, WatermarkJumpPastOneRevolutionStaysOrdered) {
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t1.AddSeconds(-30), 5)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t1.AddSeconds(20), 6)).ok());
   buffer.Flush();
-  ids.clear();
-  while (auto e = buffer.PopReady()) ids.push_back(e->rental_id);
-  EXPECT_EQ(ids, (std::vector<int64_t>{4, 5, 6}));
+  EXPECT_EQ(ReleaseIds(buffer), (std::vector<int64_t>{4, 5, 6}));
   EXPECT_EQ(buffer.late_dropped_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Randomized wheel-vs-heap equivalence: any admissible interleaving of
-// pushes (in-horizon jitter, exact-boundary stragglers, hopeless
-// latecomers, duplicate redeliveries), watermark advances (small and
-// multi-revolution), incremental pops, and batch releases must produce
-// the identical released (start, rental id) sequence, identical
-// counters, and identical buffered counts from both backends.
+// Randomized equivalence against an independent reference. The reference
+// is the buffer's contract written as directly as possible: apply the
+// late and duplicate policy per push, and at each release hand out every
+// held event that is at least max_lateness behind the watermark (all of
+// them after Flush), std::stable_sort-ed by (start, rental id).
 // ---------------------------------------------------------------------------
 
-TEST(ReorderWheelVsHeapTest, RandomizedReleaseOrderEquivalence) {
+bool StartThenIdLess(const TripEvent& a, const TripEvent& b) {
+  if (a.start_time != b.start_time) return a.start_time < b.start_time;
+  return a.rental_id < b.rental_id;
+}
+
+class ReferenceReorder {
+ public:
+  explicit ReferenceReorder(const ReorderBufferOptions& options)
+      : lateness_(options.max_lateness_seconds),
+        suppress_duplicates_(options.suppress_duplicates) {}
+
+  /// LateEventPolicy::kDrop semantics.
+  void Push(const TripEvent& event) {
+    const int64_t start = event.start_time.seconds_since_epoch();
+    if (watermark_ != INT64_MIN && start < watermark_ - lateness_) {
+      ++state_.late_dropped_count;
+      return;
+    }
+    if (suppress_duplicates_ && event.rental_id != data::kInvalidId) {
+      if (!seen_.emplace(event.rental_id, start).second) {
+        ++state_.duplicate_count;
+        return;
+      }
+      state_.duplicate_ids_high_water =
+          std::max<uint64_t>(state_.duplicate_ids_high_water, seen_.size());
+    }
+    if (start < watermark_) ++state_.reordered_count;
+    held_.push_back(event);
+    Advance(start);
+  }
+
+  void Advance(int64_t watermark) {
+    if (watermark <= watermark_) return;
+    watermark_ = watermark;
+    std::erase_if(seen_, [&](const auto& id_start) {
+      return id_start.second < watermark_ - lateness_;
+    });
+  }
+
+  void Flush() { flushed_ = true; }
+
+  /// Releases at most `limit` of the ready events, in release order.
+  std::vector<TripEvent> Release(
+      size_t limit = std::numeric_limits<size_t>::max()) {
+    std::vector<TripEvent> ready;
+    std::vector<TripEvent> held;
+    for (const TripEvent& e : held_) {
+      const bool releasable =
+          flushed_ || (watermark_ != INT64_MIN &&
+                       e.start_time.seconds_since_epoch() <=
+                           watermark_ - lateness_);
+      (releasable ? ready : held).push_back(e);
+    }
+    std::stable_sort(ready.begin(), ready.end(), StartThenIdLess);
+    if (ready.size() > limit) {
+      held.insert(held.end(), ready.begin() + static_cast<ptrdiff_t>(limit),
+                  ready.end());
+      ready.resize(limit);
+    }
+    held_ = std::move(held);
+    state_.released_count += ready.size();
+    return ready;
+  }
+
+  size_t buffered_count() const { return held_.size(); }
+
+  /// What ReorderBuffer::ExportState must report.
+  ReorderBufferState State() const {
+    ReorderBufferState state = state_;
+    state.watermark_seconds = watermark_;
+    state.flushed = flushed_;
+    state.buffered = held_;
+    std::stable_sort(state.buffered.begin(), state.buffered.end(),
+                     StartThenIdLess);
+    for (const auto& [id, start] : seen_) state.seen.emplace_back(start, id);
+    std::sort(state.seen.begin(), state.seen.end());
+    return state;
+  }
+
+ private:
+  int64_t lateness_;
+  bool suppress_duplicates_;
+  int64_t watermark_ = INT64_MIN;
+  bool flushed_ = false;
+  std::vector<TripEvent> held_;  // arrival order
+  std::map<int64_t, int64_t> seen_;  // rental id -> start second
+  ReorderBufferState state_;  // counters only
+};
+
+std::vector<std::pair<int64_t, int64_t>> Keys(
+    const std::vector<TripEvent>& events) {
+  std::vector<std::pair<int64_t, int64_t>> keys;
+  for (const TripEvent& e : events) {
+    keys.emplace_back(e.start_time.seconds_since_epoch(), e.rental_id);
+  }
+  return keys;
+}
+
+void ExpectStateEq(const ReorderBufferState& got,
+                   const ReorderBufferState& want) {
+  EXPECT_EQ(got.watermark_seconds, want.watermark_seconds);
+  EXPECT_EQ(got.flushed, want.flushed);
+  EXPECT_EQ(got.reordered_count, want.reordered_count);
+  EXPECT_EQ(got.late_dropped_count, want.late_dropped_count);
+  EXPECT_EQ(got.duplicate_count, want.duplicate_count);
+  EXPECT_EQ(got.released_count, want.released_count);
+  EXPECT_EQ(got.duplicate_ids_high_water, want.duplicate_ids_high_water);
+  EXPECT_EQ(got.duplicate_ids_evicted, want.duplicate_ids_evicted);
+  EXPECT_EQ(Keys(got.buffered), Keys(want.buffered));
+  EXPECT_EQ(got.seen, want.seen);
+}
+
+// Any admissible interleaving of pushes (in-horizon jitter, exact-boundary
+// stragglers, hopeless latecomers, duplicate redeliveries), watermark
+// advances (small and multi-revolution) and releases — whole, or cut
+// short by a visitor error after k events — must release the reference's
+// sequence with the reference's counters and exported state.
+TEST(ReorderReferenceTest, RandomizedReleaseOrderMatchesReference) {
   Rng rng(0xC0FFEE);
   const int64_t base = At(6, 0).seconds_since_epoch();
   const int64_t lateness_choices[] = {0, 1, 7, 64, 600, 3600};
   for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
     ReorderBufferOptions options;
     options.max_lateness_seconds =
         lateness_choices[rng.NextBounded(6)];
     options.late_policy = LateEventPolicy::kDrop;
     options.suppress_duplicates = rng.NextBounded(2) == 0;
-    options.backend = ReorderBackend::kHeap;
-    ReorderBuffer heap(options);
-    options.backend = ReorderBackend::kWheel;
     ReorderBuffer wheel(options);
+    ReferenceReorder reference(options);
     const int64_t lateness = options.max_lateness_seconds;
 
-    std::vector<std::pair<int64_t, int64_t>> released;
-    const auto pop_both = [&]() {
-      auto he = heap.PopReady();
-      auto we = wheel.PopReady();
-      EXPECT_EQ(he.has_value(), we.has_value());
-      if (!he.has_value() || !we.has_value()) return false;
-      EXPECT_EQ(he->start_time, we->start_time);
-      EXPECT_EQ(he->rental_id, we->rental_id);
-      released.emplace_back(he->start_time.seconds_since_epoch(),
-                            he->rental_id);
-      return true;
+    const auto release_both = [&](size_t limit) {
+      std::vector<TripEvent> got;
+      const Status status = wheel.ForEachReady([&](const TripEvent& e) {
+        got.push_back(e);
+        return got.size() == limit ? Status::Internal("visitor stop")
+                                   : Status::OK();
+      });
+      EXPECT_EQ(status.ok(), got.size() < limit);
+      EXPECT_EQ(Keys(got), Keys(reference.Release(limit)));
     };
 
     int64_t now = base;
@@ -331,7 +456,7 @@ TEST(ReorderWheelVsHeapTest, RandomizedReleaseOrderEquivalence) {
         now += static_cast<int64_t>(rng.NextBounded(40));
         int64_t start;
         const uint64_t kind = rng.NextBounded(12);
-        const int64_t mark = heap.watermark().seconds_since_epoch();
+        const int64_t mark = wheel.watermark().seconds_since_epoch();
         if (kind == 0 && mark != INT64_MIN) {
           start = mark - lateness;  // exactly on the horizon edge
         } else if (kind == 1) {
@@ -348,60 +473,31 @@ TEST(ReorderWheelVsHeapTest, RandomizedReleaseOrderEquivalence) {
                                ? static_cast<int64_t>(rng.NextBounded(64))
                                : step;
         const TripEvent e = Trip(0, 1, CivilTime(start), id);
-        const Status hs = heap.Push(e);
-        const Status ws = wheel.Push(e);
-        EXPECT_EQ(hs.code(), ws.code());
+        ASSERT_TRUE(wheel.Push(e).ok());
+        reference.Push(e);
       } else if (action < 80) {
         const int64_t jump =
             static_cast<int64_t>(rng.NextBounded(5000));  // may cross
                                                           // revolutions
-        const CivilTime to(now + jump);
-        heap.AdvanceWatermark(to);
-        wheel.AdvanceWatermark(to);
+        wheel.AdvanceWatermark(CivilTime(now + jump));
+        reference.Advance(now + jump);
         now = std::max(now, now + jump);
+      } else if (action < 90) {
+        release_both(std::numeric_limits<size_t>::max());
       } else {
-        for (uint64_t k = rng.NextBounded(8); k > 0; --k) {
-          if (!pop_both()) break;
-        }
+        release_both(1 + rng.NextBounded(8));
       }
-      ASSERT_EQ(heap.buffered_count(), wheel.buffered_count())
-          << "trial " << trial << " step " << step;
-      ASSERT_EQ(heap.watermark(), wheel.watermark());
+      ASSERT_EQ(wheel.buffered_count(), reference.buffered_count())
+          << "step " << step;
+      if (step % 25 == 0) ExpectStateEq(wheel.ExportState(), reference.State());
     }
-    heap.Flush();
+    ExpectStateEq(wheel.ExportState(), reference.State());
     wheel.Flush();
-    // Batch release for the tail: ForEachReady on both must agree too.
-    std::vector<std::pair<int64_t, int64_t>> heap_tail, wheel_tail;
-    ASSERT_TRUE(heap.ForEachReady([&](const TripEvent& e) {
-                      heap_tail.emplace_back(
-                          e.start_time.seconds_since_epoch(), e.rental_id);
-                      return Status::OK();
-                    }).ok());
-    ASSERT_TRUE(wheel
-                    .ForEachReady([&](const TripEvent& e) {
-                      wheel_tail.emplace_back(
-                          e.start_time.seconds_since_epoch(), e.rental_id);
-                      return Status::OK();
-                    })
-                    .ok());
-    EXPECT_EQ(heap_tail, wheel_tail) << "trial " << trial;
-    released.insert(released.end(), heap_tail.begin(), heap_tail.end());
-    // Start times never regress. (Full (start, id) order is NOT asserted
-    // globally: an exact-boundary straggler may legitimately arrive
-    // after an earlier same-second event was already popped, and nothing
-    // can release before an already-released event — both backends
-    // handle that identically, which the element-wise comparison above
-    // locks.)
-    EXPECT_TRUE(std::is_sorted(
-        released.begin(), released.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; }))
-        << "trial " << trial;
-    EXPECT_EQ(heap.released_count(), wheel.released_count());
-    EXPECT_EQ(heap.reordered_count(), wheel.reordered_count());
-    EXPECT_EQ(heap.late_dropped_count(), wheel.late_dropped_count());
-    EXPECT_EQ(heap.duplicate_count(), wheel.duplicate_count());
-    EXPECT_EQ(heap.buffered_count(), 0u);
+    reference.Flush();
+    ExpectStateEq(wheel.ExportState(), reference.State());
+    release_both(std::numeric_limits<size_t>::max());
     EXPECT_EQ(wheel.buffered_count(), 0u);
+    ExpectStateEq(wheel.ExportState(), reference.State());
   }
 }
 
@@ -521,7 +617,10 @@ TEST(StreamEngineReorderTest, JitteredPlantedStreamMatchesOrdered) {
   ExpectGraphsIdentical((*jittered_snap)->graph, (*ordered_snap)->graph);
 }
 
-TEST(StreamEngineReorderTest, WheelAndHeapBackendsProduceIdenticalResults) {
+// The engine's release sequence, step by step, is the reference's: an
+// engine fed the reference's releases in strict mode must hold the same
+// window after every ingest and the same snapshot at the end.
+TEST(StreamEngineReorderTest, ReleasesMatchTheReferenceStepByStep) {
   const size_t stations = 24;
   const auto jittered =
       JitterOrder(PlantedStream(stations, 3, 10, 300, 7), 1800, 42);
@@ -529,31 +628,67 @@ TEST(StreamEngineReorderTest, WheelAndHeapBackendsProduceIdenticalResults) {
   StreamEngineConfig config;
   config.station_count = stations;
   config.window_seconds = 3 * 86400;
+  StreamEngine oracle_engine(config);  // strict: releases on arrival
   config.max_lateness_seconds = 1800;
-  config.reorder_backend = ReorderBackend::kHeap;
-  StreamEngine heap_engine(config);
-  config.reorder_backend = ReorderBackend::kWheel;
   StreamEngine wheel_engine(config);
+  ReferenceReorder reference(ReorderBufferOptions{1800});
 
+  const auto feed_oracle = [&](const std::vector<TripEvent>& released) {
+    for (const TripEvent& e : released) {
+      ASSERT_TRUE(oracle_engine.Ingest(e).ok());
+    }
+  };
   for (const TripEvent& e : jittered) {
-    ASSERT_TRUE(heap_engine.Ingest(e).ok());
     ASSERT_TRUE(wheel_engine.Ingest(e).ok());
-    ASSERT_EQ(heap_engine.buffered_count(), wheel_engine.buffered_count());
-    ASSERT_EQ(heap_engine.window().trip_count(),
-              wheel_engine.window().trip_count());
+    reference.Push(e);
+    feed_oracle(reference.Release());
+    ASSERT_EQ(wheel_engine.buffered_count(), reference.buffered_count());
+    ASSERT_EQ(wheel_engine.window().trip_count(),
+              oracle_engine.window().trip_count());
   }
-  ASSERT_TRUE(heap_engine.Flush().ok());
   ASSERT_TRUE(wheel_engine.Flush().ok());
-  EXPECT_EQ(heap_engine.reordered_count(), wheel_engine.reordered_count());
+  reference.Flush();
+  feed_oracle(reference.Release());
+  ASSERT_TRUE(oracle_engine.Flush().ok());
   EXPECT_GT(wheel_engine.reordered_count(), 0u);
+  EXPECT_EQ(wheel_engine.reordered_count(),
+            reference.State().reordered_count);
+  EXPECT_EQ(wheel_engine.reorder().released_count(),
+            reference.State().released_count);
 
-  auto heap_snap = heap_engine.Snapshot();
+  auto oracle_snap = oracle_engine.Snapshot();
   auto wheel_snap = wheel_engine.Snapshot();
-  ASSERT_TRUE(heap_snap.ok());
+  ASSERT_TRUE(oracle_snap.ok());
   ASSERT_TRUE(wheel_snap.ok());
-  EXPECT_EQ((*wheel_snap)->profiles.day, (*heap_snap)->profiles.day);
-  EXPECT_EQ((*wheel_snap)->profiles.hour, (*heap_snap)->profiles.hour);
-  ExpectGraphsIdentical((*wheel_snap)->graph, (*heap_snap)->graph);
+  EXPECT_EQ((*wheel_snap)->profiles.day, (*oracle_snap)->profiles.day);
+  EXPECT_EQ((*wheel_snap)->profiles.hour, (*oracle_snap)->profiles.hour);
+  ExpectGraphsIdentical((*wheel_snap)->graph, (*oracle_snap)->graph);
+}
+
+// The WAL records intent that passed admission: an out-of-range horizon
+// is refused before the event is logged, not by the reorder buffer after.
+TEST(StreamEngineReorderTest, OutOfRangeHorizonIsRejectedBeforeTheWal) {
+  namespace fs = std::filesystem;
+  for (const int64_t lateness :
+       {int64_t{-5}, ReorderBuffer::kMaxLatenessSeconds + 1}) {
+    SCOPED_TRACE("max_lateness_seconds " + std::to_string(lateness));
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "bg_reorder_bad_horizon";
+    fs::remove_all(dir);
+    StreamEngineConfig config;
+    config.station_count = 2;
+    config.max_lateness_seconds = lateness;
+    config.durability.enabled = true;
+    config.durability.directory = dir.string();
+    StreamEngine engine(config);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(engine.Ingest(Trip(0, 1, At(6, 10), i)).code(),
+                StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ(engine.wal_seq(), 0u);
+    EXPECT_EQ(engine.window().trip_count(), 0u);
+    fs::remove_all(dir);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -681,7 +816,7 @@ TEST_F(JitteredReplayEquivalenceTest, LandmarkWindowBitForBitFourShards) {
 // The pre-fix failure mode: with the cap disabled, a long-lateness stream
 // of distinct rental ids grows the suppression set without bound — the
 // high-water mark tracks the stream length, not any horizon.
-TEST_P(ReorderBufferTest, DuplicateIdSetGrowsUnboundedWithoutCap) {
+TEST_F(ReorderBufferTest, DuplicateIdSetGrowsUnboundedWithoutCap) {
   ReorderBufferOptions options =
       Opts(/*max_lateness_seconds=*/86400, LateEventPolicy::kDrop,
            /*suppress_duplicates=*/true);
@@ -697,7 +832,7 @@ TEST_P(ReorderBufferTest, DuplicateIdSetGrowsUnboundedWithoutCap) {
   EXPECT_EQ(buffer.duplicate_ids_evicted(), 0u);
 }
 
-TEST_P(ReorderBufferTest, DuplicateIdCapEvictsOldestStartsFirst) {
+TEST_F(ReorderBufferTest, DuplicateIdCapEvictsOldestStartsFirst) {
   ReorderBufferOptions options =
       Opts(/*max_lateness_seconds=*/86400, LateEventPolicy::kDrop,
            /*suppress_duplicates=*/true);

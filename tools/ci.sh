@@ -28,7 +28,7 @@
 # FULL run, build the tree into build-asan/ and build-ubsan/ and re-run
 # a ctest subset under each. Extra args select the sanitized subset only
 # — the unsanitized gate always runs everything; with none, the
-# streaming suites (including stream_reorder_test: the reorder heap /
+# streaming suites (including stream_reorder_test: the reorder wheel /
 # expiry ring interplay is exactly where lifetime bugs would live),
 # warm-start and grid suites run by default.
 #
@@ -36,9 +36,9 @@
 #   tools/ci.sh --sanitize-matrix -R stream         # explicit subset
 #
 # Bench smoke (the flag must come first): after the test pass, run every
-# bench_stream_* / bench_query_* binary once with a minimal measuring
-# budget — a cheap
-# crash/assert canary for the benchmark code itself (it measures nothing
+# bench_perf_* / bench_stream_* / bench_query_* binary once with a
+# minimal measuring budget — a cheap crash/assert canary for the
+# benchmark code itself (it measures nothing
 # meaningful; use tools/run_benches.sh + tools/bench_diff.py to track
 # performance).
 #
@@ -167,17 +167,18 @@ else
 fi
 
 if [ "$BENCH_SMOKE" = 1 ]; then
-  echo ">>> bench smoke: one minimal pass over the stream/query benches"
+  echo ">>> bench smoke: one minimal pass over the perf/stream/query benches"
   found=0
-  for bin in "$BUILD_DIR"/bench_stream_* "$BUILD_DIR"/bench_query_*; do
+  for bin in "$BUILD_DIR"/bench_perf_* "$BUILD_DIR"/bench_stream_* \
+             "$BUILD_DIR"/bench_query_*; do
     [ -x "$bin" ] || continue
     found=1
     echo ">>> $(basename "$bin")"
     "$bin" --benchmark_min_time=0.01 >/dev/null
   done
   if [ "$found" = 0 ]; then
-    echo "no bench_stream_*/bench_query_* binaries in $BUILD_DIR" \
-         "(benches disabled?)" >&2
+    echo "no bench_perf_*/bench_stream_*/bench_query_* binaries in" \
+         "$BUILD_DIR (benches disabled?)" >&2
     exit 1
   fi
 fi
