@@ -1,7 +1,7 @@
 // Performance benchmarks for the geospatial substrate: Haversine vs the
 // equirectangular approximation, and GridIndex queries vs linear scans.
-// These justify the design choices in DESIGN.md (grid cell sizing, distance
-// function selection).
+// These justify the design choices in docs/REPRODUCTION.md "Geospatial
+// substrate" (grid cell sizing, distance function selection).
 
 #include <benchmark/benchmark.h>
 

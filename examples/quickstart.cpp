@@ -17,7 +17,8 @@
 using namespace bikegraph;
 
 int main() {
-  analysis::ExperimentConfig config;  // calibrated defaults (see DESIGN.md)
+  // Calibrated defaults (see docs/REPRODUCTION.md).
+  analysis::ExperimentConfig config;
 
   auto result_or = analysis::RunPaperExperiment(config);
   if (!result_or.ok()) {
@@ -52,7 +53,7 @@ int main() {
   t2.AddRow({"#candidates (non-station)", "1,080",
              FormatWithCommas(static_cast<int64_t>(cand.free_count()))});
   t2.AddRow({"#trips", "61,872",
-             FormatWithCommas(static_cast<int64_t>(cand.graph.EdgeCount()))});
+             FormatWithCommas(static_cast<int64_t>(cand.graph.trips().size()))});
   std::cout << "Table II — candidate graph\n" << t2.ToString() << "\n";
 
   // ---- Table III: selected graph ----------------------------------------

@@ -13,10 +13,10 @@
 
 namespace bikegraph::analysis {
 
-/// \brief The numbers the paper reports, used by EXPERIMENTS.md and the
-/// bench harnesses to print paper-vs-measured rows. Absolute values are not
-/// expected to match (our substrate is a synthetic generator); the *shape*
-/// is (see DESIGN.md §4).
+/// \brief The numbers the paper reports, used by the bench harnesses to
+/// print paper-vs-measured rows. Absolute values are not expected to match
+/// (our substrate is a synthetic generator); the *shape* is (see
+/// docs/REPRODUCTION.md "Paper against ours").
 struct PaperExpectations {
   // Table I.
   size_t original_stations = 95, cleaned_stations = 92;

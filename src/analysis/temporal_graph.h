@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "core/result.h"
-#include "graphdb/property_graph.h"
+#include "graphdb/trip_graph.h"
 #include "graphdb/weighted_graph.h"
 
 namespace bikegraph::analysis {
@@ -27,7 +27,7 @@ struct TemporalGraphOptions {
   /// Sharpening exponent on the similarity. Hour-of-day profiles share a
   /// strong common daytime baseline, so the paper's highly fragmented
   /// GHour structure (10 communities, Q = 0.54 vs GDay's 7 / 0.32) needs a
-  /// higher contrast to surface; see DESIGN.md "Substitutions".
+  /// higher contrast to surface; see docs/REPRODUCTION.md "Substitutions".
   double contrast = 1.0;
 };
 
@@ -39,16 +39,14 @@ struct StationProfiles {
   std::vector<std::array<double, 7>> day;    ///< per node, Monday first
   std::vector<std::array<double, 24>> hour;  ///< per node
 
-  /// L2-normalised cosine similarity of two stations' profiles at the given
-  /// granularity; 1.0 for kNull. Zero-activity stations compare as 1.0
-  /// (no evidence of dissimilarity).
+  /// Centred (Pearson) similarity in [0, 1] of two stations' profiles at
+  /// the given granularity; 1.0 for kNull. Zero-activity stations compare
+  /// as 1.0 (no evidence of dissimilarity).
   double Similarity(size_t a, size_t b, TemporalGranularity g) const;
 };
 
-/// \brief Extracts per-station profiles from a trip multigraph whose edges
-/// carry integer "day" (0=Mon) and "hour" (0-23) properties.
-Result<StationProfiles> ExtractStationProfiles(
-    const graphdb::PropertyGraph& trips);
+/// \brief Extracts per-station day and hour profiles from a trip multigraph.
+StationProfiles ExtractStationProfiles(const graphdb::TripGraph& trips);
 
 /// \brief Weight one trip between stations `a` and `b` contributes to the
 /// projected graph: floor + (1 − floor) · similarity^contrast. The single
@@ -64,12 +62,13 @@ double PerTripWeight(const StationProfiles& profiles, size_t a, size_t b,
 /// - kNull (GBasic): stations are nodes, edge weight = number of trips.
 /// - kDay (GDay) / kHour (GHour): the paper attaches the day/hour property
 ///   to every trip edge; the projection reconstructed here modulates each
-///   aggregated edge weight by the cosine similarity of the endpoints'
+///   aggregated edge weight by the centred similarity of the endpoints'
 ///   day-of-week / hour-of-day profiles, so stations that exchange trips
 ///   but behave differently in time are weakly coupled. (The paper does not
-///   spell out the Neo4j projection; see DESIGN.md "Substitutions".)
+///   spell out the Neo4j projection; see docs/REPRODUCTION.md
+///   "Substitutions".)
 Result<graphdb::WeightedGraph> BuildTemporalGraph(
-    const graphdb::PropertyGraph& trips,
+    const graphdb::TripGraph& trips,
     const TemporalGraphOptions& options = {});
 
 }  // namespace bikegraph::analysis

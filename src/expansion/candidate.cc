@@ -4,6 +4,27 @@
 
 namespace bikegraph::expansion {
 
+Result<graphdb::TripGraph> BuildTripGraph(
+    const data::Dataset& cleaned,
+    const std::unordered_map<int64_t, int32_t>& location_to_node,
+    size_t node_count) {
+  graphdb::TripGraph graph(node_count);
+  for (const auto& rental : cleaned.rentals()) {
+    auto from_it = location_to_node.find(rental.rental_location_id);
+    auto to_it = location_to_node.find(rental.return_location_id);
+    if (from_it == location_to_node.end() || to_it == location_to_node.end()) {
+      return Status::FailedPrecondition(
+          "dataset not cleaned: rental " + std::to_string(rental.id) +
+          " references an unmapped location");
+    }
+    BIKEGRAPH_RETURN_NOT_OK(graph.AddTrip(
+        from_it->second, to_it->second,
+        static_cast<int>(rental.start_time.weekday()),
+        rental.start_time.hour()));
+  }
+  return graph;
+}
+
 Result<CandidateNetwork> BuildCandidateNetwork(
     const data::Dataset& cleaned, const cluster::GeoClusterParams& params) {
   CandidateNetwork net;
@@ -52,38 +73,13 @@ Result<CandidateNetwork> BuildCandidateNetwork(
     }
   }
 
-  // Candidate trip graph: one node per candidate, one relationship per trip.
-  for (size_t g = 0; g < net.candidates.size(); ++g) {
-    const CandidateStation& cand = net.candidates[g];
-    graphdb::NodeId node = net.graph.AddNode(
-        cand.is_fixed() ? "Station" : "Candidate");
-    (void)net.graph.SetNodeProperty(node, "lat", cand.centroid.lat);
-    (void)net.graph.SetNodeProperty(node, "lon", cand.centroid.lon);
-    (void)net.graph.SetNodeProperty(node, "is_station", cand.is_fixed());
-    if (!cand.name.empty()) {
-      (void)net.graph.SetNodeProperty(node, "name", cand.name);
-    }
-  }
-  for (const auto& rental : cleaned.rentals()) {
-    auto from_it = net.location_to_candidate.find(rental.rental_location_id);
-    auto to_it = net.location_to_candidate.find(rental.return_location_id);
-    if (from_it == net.location_to_candidate.end() ||
-        to_it == net.location_to_candidate.end()) {
-      return Status::FailedPrecondition(
-          "dataset not cleaned: rental " + std::to_string(rental.id) +
-          " references an unmapped location");
-    }
-    const int32_t from = from_it->second;
-    const int32_t to = to_it->second;
-    BIKEGRAPH_ASSIGN_OR_RETURN(graphdb::EdgeId edge,
-                               net.graph.AddEdge(from, to, "TRIP"));
-    (void)net.graph.SetEdgeProperty(edge, "rental_id", rental.id);
-    (void)net.graph.SetEdgeProperty(
-        edge, "day", static_cast<int64_t>(rental.start_time.weekday()));
-    (void)net.graph.SetEdgeProperty(
-        edge, "hour", static_cast<int64_t>(rental.start_time.hour()));
-    ++net.candidates[AsIndex(from)].trips_from;
-    ++net.candidates[AsIndex(to)].trips_to;
+  // Candidate trip graph: one node per candidate, one trip per rental.
+  BIKEGRAPH_ASSIGN_OR_RETURN(net.graph,
+                             BuildTripGraph(cleaned, net.location_to_candidate,
+                                            net.candidates.size()));
+  for (const graphdb::Trip& trip : net.graph.trips()) {
+    ++net.candidates[AsIndex(trip.from)].trips_from;
+    ++net.candidates[AsIndex(trip.to)].trips_to;
   }
   return net;
 }

@@ -8,7 +8,7 @@
 #include "core/result.h"
 #include "cluster/geo_cluster.h"
 #include "data/dataset.h"
-#include "graphdb/property_graph.h"
+#include "graphdb/trip_graph.h"
 
 namespace bikegraph::expansion {
 
@@ -41,13 +41,21 @@ struct CandidateNetwork {
   std::vector<CandidateStation> candidates;
   /// Location-table id -> candidate index.
   std::unordered_map<int64_t, int32_t> location_to_candidate;
-  /// Trip multigraph over candidates. Node properties: lat, lon,
-  /// is_station, name. Edge properties: rental_id, day (0=Mon), hour.
-  graphdb::PropertyGraph graph;
+  /// Trip multigraph over candidates, one trip per rental in rental order.
+  graphdb::TripGraph graph;
 
   size_t fixed_count = 0;  ///< number of fixed-station nodes
   size_t free_count() const { return candidates.size() - fixed_count; }
 };
+
+/// \brief Builds the trip multigraph of `cleaned`'s rentals, in rental
+/// order, over nodes [0, node_count): each endpoint location is mapped
+/// through `location_to_node`. FailedPrecondition if a rental references a
+/// location the map does not hold.
+Result<graphdb::TripGraph> BuildTripGraph(
+    const data::Dataset& cleaned,
+    const std::unordered_map<int64_t, int32_t>& location_to_node,
+    size_t node_count);
 
 /// \brief Builds the candidate network from a *cleaned* dataset: splits
 /// locations into stations/dockless, runs the constrained clustering

@@ -79,8 +79,8 @@ TEST(CandidateTest, BuildsGroupsAndGraph) {
   // Groups: 2 stations + free clusters {10,11,12} and {20}.
   EXPECT_EQ(net->fixed_count, 2u);
   EXPECT_EQ(net->free_count(), 2u);
-  EXPECT_EQ(net->graph.NodeCount(), 4u);
-  EXPECT_EQ(net->graph.EdgeCount(), 30u);  // one edge per rental
+  EXPECT_EQ(net->graph.node_count(), 4u);
+  EXPECT_EQ(net->graph.trips().size(), 30u);  // one trip per rental
 
   // Location 30 absorbed into station B's group.
   EXPECT_EQ(net->location_to_candidate.at(30),
@@ -105,16 +105,12 @@ TEST(CandidateTest, EdgePropertiesCarryTime) {
   auto net = BuildCandidateNetwork(Fixture());
   ASSERT_TRUE(net.ok());
   bool checked = false;
-  net->graph.ForEachEdge("TRIP", [&](graphdb::EdgeId e) {
-    auto day = net->graph.GetEdgeProperty(e, "day").AsInt();
-    auto hour = net->graph.GetEdgeProperty(e, "hour").AsInt();
-    ASSERT_TRUE(day.ok());
-    ASSERT_TRUE(hour.ok());
-    EXPECT_GE(*day, 0);
-    EXPECT_LE(*day, 6);
-    EXPECT_EQ(*hour, 8);
+  for (const graphdb::Trip& trip : net->graph.trips()) {
+    EXPECT_GE(trip.day, 0);
+    EXPECT_LE(trip.day, 6);
+    EXPECT_EQ(trip.hour, 8);
     checked = true;
-  });
+  }
   EXPECT_TRUE(checked);
 }
 
@@ -235,7 +231,7 @@ TEST(FinalNetworkTest, TripsConservedAfterReassignment) {
   auto fin = BuildFinalNetwork(fixture, *net, *sel);
   ASSERT_TRUE(fin.ok()) << fin.status();
   // All 30 trips survive (the paper's invariant: reassignment keeps totals).
-  EXPECT_EQ(fin->graph.EdgeCount(), 30u);
+  EXPECT_EQ(fin->graph.trips().size(), 30u);
   EXPECT_EQ(fin->stations.size(), 2u + sel->selected.size());
   EXPECT_EQ(fin->pre_existing_count, 2u);
   // Lone location 20 was not selected -> reassigned to nearest station.
@@ -244,6 +240,22 @@ TEST(FinalNetworkTest, TripsConservedAfterReassignment) {
   for (const auto& loc : fixture.locations()) {
     EXPECT_TRUE(fin->location_to_station.count(loc.id)) << loc.id;
   }
+}
+
+TEST(FinalNetworkTest, RentalWithUnknownLocationIsAnErrorNotAThrow) {
+  // The vector constructor does not validate, so a rental may reference a
+  // location its own table lacks. That must come back as a status.
+  auto net = BuildCandidateNetwork(Fixture());
+  ASSERT_TRUE(net.ok());
+  auto sel = SelectStations(*net);
+  ASSERT_TRUE(sel.ok());
+  const data::Dataset fixture = Fixture();
+  std::vector<data::RentalRecord> rentals = fixture.rentals();
+  rentals.push_back(Rental(999, 1, /*to=*/4242));
+  const data::Dataset broken(fixture.locations(), std::move(rentals));
+  auto fin = BuildFinalNetwork(broken, *net, *sel);
+  ASSERT_FALSE(fin.ok());
+  EXPECT_EQ(fin.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(FinalNetworkTest, StatsShapeMatchesTableThree) {
@@ -290,7 +302,7 @@ TEST(PipelineTest, EndToEndOnFixture) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->cleaning_report.after.rental_count, 30u);
   EXPECT_EQ(result->final_network.pre_existing_count, 2u);
-  EXPECT_EQ(result->final_network.graph.EdgeCount(), 30u);
+  EXPECT_EQ(result->final_network.graph.trips().size(), 30u);
 }
 
 // The expansion pipeline now freezes its grid indexes at every

@@ -1,8 +1,9 @@
 // End-to-end integration test: runs the full paper reproduction at the
 // calibrated scale and asserts the *shape* constraints of every table and
-// figure (see DESIGN.md §4 and EXPERIMENTS.md). This is the executable
-// contract that the bench harnesses print.
+// figure (see docs/REPRODUCTION.md). This is the executable contract that
+// the bench harnesses print.
 
+#include <cstring>
 #include <set>
 
 #include "analysis/experiment.h"
@@ -45,7 +46,7 @@ TEST(PaperIntegrationTest, TableOneDatasetShape) {
 
 TEST(PaperIntegrationTest, TableTwoCandidateGraphShape) {
   const auto& net = Experiment().pipeline.candidate_network;
-  auto counts = metrics::CountGraph(net.graph, "TRIP");
+  auto counts = metrics::CountGraph(net.graph);
   // Paper: 1,172 nodes / 61,872 trips / 16,042 directed edges.
   EXPECT_NEAR(static_cast<double>(counts.nodes), 1172.0, 200.0);
   EXPECT_EQ(counts.trips, 61872u);
@@ -190,6 +191,88 @@ TEST(PaperIntegrationTest, FigSevenHourPatternsSplit) {
   // midday-peaking leisure communities.
   EXPECT_GE(commute, 1u);
   EXPECT_GE(midday, 1u);
+}
+
+/// FNV-1a over raw bytes, fed one value at a time.
+class Fingerprint {
+ public:
+  template <typename T>
+  void Add(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (unsigned char c : bytes) {
+      hash_ ^= c;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  void AddGraph(const graphdb::WeightedGraph& graph) {
+    Add(graph.node_count());
+    for (size_t u = 0; u < graph.node_count(); ++u) {
+      const auto node = static_cast<int32_t>(u);
+      Add(graph.degree(node));
+      for (const auto& nb : graph.neighbors(node)) {
+        Add(nb.node);
+        Add(nb.weight);
+      }
+      Add(graph.self_weight(node));
+      Add(graph.strength(node));
+    }
+    Add(graph.total_weight());
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ULL;
+};
+
+TEST(PaperIntegrationTest, GoldenFingerprint) {
+  // Pins the paper outputs bit for bit: the three projected graphs (CSR
+  // neighbours, weights, self weights, strengths), the three partitions
+  // and modularities, the per-community trip rows and Fig. 5/7 shares,
+  // and the Table II and Table III counters. A change in float summation
+  // order anywhere on the batch path changes this value.
+  const auto& r = Experiment();
+  Fingerprint fp;
+  for (const analysis::CommunityExperiment* exp : {&r.gbasic, &r.gday,
+                                                   &r.ghour}) {
+    fp.AddGraph(exp->graph);
+    for (int32_t label : exp->detection.partition.assignment) fp.Add(label);
+    fp.Add(exp->detection.modularity);
+    for (const auto& row : exp->stats.rows) {
+      fp.Add(row.old_stations);
+      fp.Add(row.new_stations);
+      fp.Add(row.within);
+      fp.Add(row.out);
+      fp.Add(row.in);
+    }
+  }
+  const auto& final_network = r.pipeline.final_network;
+  auto day = analysis::CommunityDayShares(final_network,
+                                          r.gday.detection.partition);
+  auto hour = analysis::CommunityHourShares(final_network,
+                                            r.ghour.detection.partition);
+  ASSERT_TRUE(day.ok());
+  ASSERT_TRUE(hour.ok());
+  for (const auto& row : *day) fp.Add(row);
+  for (const auto& row : *hour) fp.Add(row);
+
+  const auto t2 = metrics::CountGraph(r.pipeline.candidate_network.graph);
+  for (size_t v : {t2.nodes, t2.undirected_edges, t2.undirected_edges_no_loops,
+                   t2.directed_edges, t2.directed_edges_no_loops, t2.trips}) {
+    fp.Add(v);
+  }
+  const auto t3 = final_network.ComputeStats();
+  for (const auto* row : {&t3.pre_existing, &t3.selected}) {
+    fp.Add(row->stations);
+    fp.Add(row->trips_from);
+    fp.Add(row->trips_to);
+    fp.Add(row->edges_from);
+    fp.Add(row->edges_to);
+  }
+  fp.Add(t3.total_trips);
+  fp.Add(t3.total_edges);
+  EXPECT_EQ(fp.value(), 0x2a88ef878e74a06fULL)
+      << "0x" << std::hex << fp.value();
 }
 
 TEST(PaperIntegrationTest, DeterministicAcrossRuns) {

@@ -115,10 +115,10 @@ TEST_F(StreamBatchEquivalenceTest, LandmarkReplayReproducesBatchGDay) {
   ExpectGraphsIdentical((*snapshot)->graph, *batch_graph);
 
   // The window profiles match the batch extraction exactly.
-  auto batch_profiles = analysis::ExtractStationProfiles(net.graph);
-  ASSERT_TRUE(batch_profiles.ok());
-  EXPECT_EQ((*snapshot)->profiles.day, batch_profiles->day);
-  EXPECT_EQ((*snapshot)->profiles.hour, batch_profiles->hour);
+  const analysis::StationProfiles batch_profiles =
+      analysis::ExtractStationProfiles(net.graph);
+  EXPECT_EQ((*snapshot)->profiles.day, batch_profiles.day);
+  EXPECT_EQ((*snapshot)->profiles.hour, batch_profiles.hour);
 }
 
 // ---------------------------------------------------------------------------

@@ -45,6 +45,11 @@ Checks
                         `// lint: thread-ok: <why this file must thread>`
                         justification somewhere in the file (threaded
                         tests and benches are the expected users).
+  doc-citation          every *.md document named in a C++ comment exists,
+                        resolved next to the citing file, at the repo root
+                        or under docs/. A cited design document that was
+                        never written leaves the reader of the comment with
+                        nothing to read.
   tracked-build-artifacts
                         no git-tracked path under a top-level build*/
                         directory — build trees are generated output and
@@ -412,6 +417,58 @@ def check_naked_concurrency(root, files):
     return violations
 
 
+MD_CITATION = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w.-]+\.md)\b")
+LITERAL = re.compile(r"""(["'])(?:[^\\]|\\.)*?\1""")
+
+
+def comment_lines(lines):
+    """Yields (index, text) for the comment text on each line: `//` tails
+    and `/* */` bodies, which may span lines. String and character
+    literals are skipped, so a `.md` name in data is not a citation."""
+    in_block = False
+    for i, line in enumerate(lines):
+        text, j = [], 0
+        while j < len(line):
+            if in_block:
+                end = line.find("*/", j)
+                text.append(line[j:] if end < 0 else line[j:end])
+                if end < 0:
+                    break
+                in_block, j = False, end + 2
+            elif line.startswith("//", j):
+                text.append(line[j + 2:])
+                break
+            elif line.startswith("/*", j):
+                in_block, j = True, j + 2
+            elif line[j] in "\"'":
+                m = LITERAL.match(line, j)
+                j = m.end() if m else len(line)
+            else:
+                j += 1
+        if text:
+            yield i, " ".join(text)
+
+
+def check_doc_citation(root, files):
+    violations = []
+    for rel in files:
+        with open(os.path.join(root, rel), encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        bases = (os.path.dirname(rel), "", "docs")
+        for i, text in comment_lines(lines):
+            for ref in MD_CITATION.findall(text):
+                if any(os.path.isfile(os.path.join(root, base, ref))
+                       for base in bases):
+                    continue
+                violations.append(Violation(
+                    "doc-citation", rel, i + 1,
+                    f"comment cites '{ref}', which exists neither next to "
+                    "this file, at the repo root nor under docs/ — write "
+                    "the document or point the comment at the one that "
+                    "holds the text"))
+    return violations
+
+
 def check_tracked_build_artifacts(root, files):
     """No build tree may be committed. Build output is reproducible from
     the sources, so tracking it bloats every clone and rots silently; the
@@ -455,6 +512,7 @@ CHECKS = [
     ("unseeded-rng", check_unseeded_rng),
     ("float-equality", check_float_equality),
     ("naked-concurrency", check_naked_concurrency),
+    ("doc-citation", check_doc_citation),
     ("tracked-build-artifacts", check_tracked_build_artifacts),
 ]
 
@@ -598,6 +656,16 @@ def run_selftest(root):
     expect("naked-concurrency", check_naked_concurrency,
            {"src/good.cc": _golden(root, "good_annotated.cc")},
            False, "good_annotated.cc")
+
+    expect("doc-citation", check_doc_citation,
+           {"src/bad.cc": _golden(root, "bad_doc_citation.cc")},
+           True, "bad_doc_citation.cc")
+    expect("doc-citation", check_doc_citation,
+           {"src/good.cc": _golden(root, "good_doc_citation.cc"),
+            "src/NOTES.md": "# Notes\n",
+            "README.md": "# Readme\n",
+            "docs/GUIDE.md": "# Guide\n"},
+           False, "good_doc_citation.cc")
 
     # tracked-build-artifacts consults the git index, so its goldens need
     # a real scratch repo rather than the plain-tree expect() helper.
