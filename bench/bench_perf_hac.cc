@@ -7,8 +7,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include "cluster/geo_cluster.h"
 #include "cluster/hac.h"
 #include "core/rng.h"
+#include "data/cleaning.h"
+#include "data/synthetic.h"
+#include "geo/dublin.h"
 #include "geo/haversine.h"
 
 namespace bikegraph::cluster {
@@ -45,6 +49,28 @@ void BM_ThresholdHac(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ThresholdHac)->Arg(500)->Arg(2000)->Arg(8000)->Arg(16000);
+
+// Paper-scale clustering: station absorption plus threshold HAC over the
+// cleaned dockless locations and stations of the synthetic Moby dataset
+// (seed 1, about 14.5k locations), whose geo-component structure the
+// clumps of BM_ThresholdHac do not reproduce.
+void BM_ClusterLocations(benchmark::State& state) {
+  data::SyntheticConfig config;
+  config.seed = 1;
+  auto cleaned = data::CleanDataset(
+      data::GenerateSyntheticMoby(config).ValueOrDie(), geo::DublinLand());
+  std::vector<LatLon> locations, stations;
+  for (const auto& loc : cleaned.ValueOrDie().dataset.locations()) {
+    (loc.is_station ? stations : locations).push_back(loc.position);
+  }
+  for (auto _ : state) {
+    auto clustering = ClusterLocations(locations, stations);
+    benchmark::DoNotOptimize(clustering);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(locations.size()));
+}
+BENCHMARK(BM_ClusterLocations)->Unit(benchmark::kMillisecond);
 
 void BM_DenseHacComplete(benchmark::State& state) {
   auto points = ClusteredPoints(static_cast<size_t>(state.range(0)));

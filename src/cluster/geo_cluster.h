@@ -52,9 +52,12 @@ struct GeoClusteringResult {
 
 /// \brief Runs the paper's constrained clustering: fixed stations are
 /// immovable centroids; locations within `station_absorption_m` of a
-/// station are absorbed to the nearest such station; the remaining
-/// locations are clustered by complete-linkage HAC cut at
-/// `cluster_boundary_m`.
+/// station (boundary inclusive) are absorbed to the nearest such station,
+/// ties going to the smaller station index; the remaining locations are
+/// clustered by complete-linkage HAC cut at `cluster_boundary_m`.
+/// Returns InvalidArgument unless both thresholds are finite,
+/// `cluster_boundary_m` > 0 and `station_absorption_m` >= 0, or for an
+/// invalid coordinate.
 ///
 /// \param locations dockless (non-station) location coordinates.
 /// \param stations fixed station coordinates.

@@ -11,7 +11,7 @@
 namespace bikegraph::geo {
 
 GridIndex::GridIndex(double cell_size_m, double reference_lat) {
-  if (cell_size_m <= 0.0) cell_size_m = 100.0;
+  if (!std::isfinite(cell_size_m) || cell_size_m <= 0.0) cell_size_m = 100.0;
   cell_lat_deg_ = MetersToLatDegrees(cell_size_m);
   cell_lon_deg_ = MetersToLonDegrees(cell_size_m, reference_lat);
 }

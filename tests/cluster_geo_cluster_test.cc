@@ -1,5 +1,7 @@
 #include "cluster/geo_cluster.h"
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "core/rng.h"
@@ -35,6 +37,69 @@ TEST(GeoClusterTest, RejectsBadParamsAndPoints) {
   EXPECT_FALSE(
       ClusterLocations({kCenter}, {LatLon(200.0, 0.0)}, GeoClusterParams{})
           .ok());
+}
+
+TEST(GeoClusterTest, RejectsNonFiniteThresholds) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<LatLon> locations = {kCenter, Offset(kCenter, 30.0, 0.0)};
+  for (double bad : {nan, inf}) {
+    GeoClusterParams boundary;
+    boundary.cluster_boundary_m = bad;
+    auto r = ClusterLocations(locations, {kCenter}, boundary);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    GeoClusterParams absorption;
+    absorption.station_absorption_m = bad;
+    r = ClusterLocations(locations, {kCenter}, absorption);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(GeoClusterTest, EquidistantLocationJoinsSmallerStationIndex) {
+  // Stations 2^-12 degrees of longitude (~16 m) east and west of the
+  // location, on its latitude: both distances are bit-identical.
+  const LatLon location(53.5, -6.25);
+  const LatLon east(53.5, -6.25 + std::ldexp(1.0, -12));
+  const LatLon west(53.5, -6.25 - std::ldexp(1.0, -12));
+  ASSERT_EQ(geo::HaversineMeters(east, location),
+            geo::HaversineMeters(west, location));
+  for (const auto& stations : {std::vector<LatLon>{east, west},
+                               std::vector<LatLon>{west, east}}) {
+    auto result = ClusterLocations({location}, stations, GeoClusterParams{});
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->absorbed_count, 1u);
+    EXPECT_EQ(result->assignment[0], 0);
+  }
+}
+
+TEST(GeoClusterTest, AbsorptionBoundaryIsInclusive) {
+  const LatLon station = kCenter;
+  const LatLon location = Offset(station, 50.0, 90.0);
+  GeoClusterParams at;
+  at.station_absorption_m = geo::HaversineMeters(station, location);
+  auto absorbed = ClusterLocations({location}, {station}, at);
+  ASSERT_TRUE(absorbed.ok());
+  EXPECT_EQ(absorbed->absorbed_count, 1u);
+  EXPECT_EQ(absorbed->assignment[0], 0);
+
+  GeoClusterParams below;
+  below.station_absorption_m = std::nextafter(at.station_absorption_m, 0.0);
+  auto free = ClusterLocations({location}, {station}, below);
+  ASSERT_TRUE(free.ok());
+  EXPECT_EQ(free->absorbed_count, 0u);
+}
+
+TEST(GeoClusterTest, NearestStationBeyondRadiusLeavesLocationFree) {
+  const std::vector<LatLon> stations = {kCenter,
+                                        Offset(kCenter, 400.0, 180.0)};
+  auto result = ClusterLocations({Offset(kCenter, 51.0, 0.0)}, stations,
+                                 GeoClusterParams{});
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->absorbed_count, 0u);
+  EXPECT_EQ(result->free_cluster_count(), 1u);
+  EXPECT_EQ(result->assignment[0], 2);
 }
 
 TEST(GeoClusterTest, AbsorptionIntoNearestStation) {

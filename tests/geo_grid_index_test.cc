@@ -21,6 +21,17 @@ TEST(GridIndexTest, EmptyIndexBehaviour) {
   EXPECT_EQ(index.Nearest({53.35, -6.26}).id, -1);
 }
 
+TEST(GridIndexTest, NonFiniteCellSizeFallsBackToDefault) {
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    GridIndex index(bad);
+    ASSERT_TRUE(index.Add(1, LatLon(53.35, -6.26)));
+    ASSERT_TRUE(index.Add(2, Offset(LatLon(53.35, -6.26), 40.0, 0.0)));
+    EXPECT_EQ(index.WithinRadius(LatLon(53.35, -6.26), 50.0),
+              (std::vector<int64_t>{1, 2}));
+    EXPECT_EQ(index.Nearest(LatLon(53.35, -6.26), 1).id, 2);
+  }
+}
+
 TEST(GridIndexTest, RejectsInvalidPoints) {
   GridIndex index;
   EXPECT_FALSE(index.Add(1, LatLon(std::nan(""), 0.0)));

@@ -15,14 +15,16 @@
 # warnings without the gate).
 #
 # TSan note: the query serving layer (src/query) runs real reader
-# threads against the live publisher, and the sharded stream engine runs
-# one worker thread per shard behind SPSC rings, so
-# BIKEGRAPH_SANITIZE=thread gates the stream and query suites by default
-# — stream_publisher_test and query_concurrent_test race readers pinning
-# epochs against the publishing thread, and stream_shard_test /
-# stream_reorder_test / stream_snapshot_delta_test /
-# stream_durability_test race the shard workers against the ingest
-# thread's rings and barriers.
+# threads against the live publisher, the sharded stream engine runs
+# one worker thread per shard behind SPSC rings, and threshold HAC runs
+# geo-components on worker threads, so BIKEGRAPH_SANITIZE=thread gates
+# the stream, query and cluster suites by default — stream_publisher_test
+# and query_concurrent_test race readers pinning epochs against the
+# publishing thread, stream_shard_test / stream_reorder_test /
+# stream_snapshot_delta_test / stream_durability_test race the shard
+# workers against the ingest thread's rings and barriers, and
+# cluster_hac_test / cluster_geo_cluster_test run many-component inputs
+# across the HAC workers.
 #
 # Opt-in sanitizer matrix (the flag must come first): after the regular
 # FULL run, build the tree into build-asan/ and build-ubsan/ and re-run
@@ -30,7 +32,8 @@
 # — the unsanitized gate always runs everything; with none, the
 # streaming suites (including stream_reorder_test: the reorder wheel /
 # expiry ring interplay is exactly where lifetime bugs would live),
-# warm-start and grid suites run by default.
+# warm-start, grid and cluster suites (the HAC workers' hand-sized
+# buffers) run by default.
 #
 #   tools/ci.sh --sanitize-matrix                   # default subset
 #   tools/ci.sh --sanitize-matrix -R stream         # explicit subset
@@ -141,9 +144,9 @@ python3 "$ROOT/tools/lint.py" --root "$ROOT"
 python3 "$ROOT/tools/lint.py" --root "$ROOT" --selftest
 
 # The threaded surface is the publisher hand-off, the query serving
-# layer, and the shard workers behind the sharded engine; default the
-# thread gate to exactly those suites (explicit ctest args still
-# override). 'shard' is matched by 'stream' (stream_shard_test) but is
+# layer, the shard workers behind the sharded engine and the threshold
+# HAC workers; default the thread gate to exactly those suites (explicit
+# ctest args still override). 'shard' is matched by 'stream' (stream_shard_test) but is
 # named anyway so the intent survives a test-file rename. The
 # suppression file silences one documented libstdc++-internal report
 # (see tools/tsan_suppressions.txt) — races in repo code still fail the
@@ -151,7 +154,7 @@ python3 "$ROOT/tools/lint.py" --root "$ROOT" --selftest
 if [ "$SANITIZE" = thread ]; then
   export TSAN_OPTIONS="suppressions=$ROOT/tools/tsan_suppressions.txt${TSAN_OPTIONS:+:$TSAN_OPTIONS}"
   if [ "$#" -eq 0 ] && [ "$MATRIX" = 0 ]; then
-    set -- -R 'stream|query|shard'
+    set -- -R 'stream|query|shard|cluster'
   fi
 fi
 
@@ -210,7 +213,7 @@ if [ "$MATRIX" = 1 ]; then
   else
     # 'reorder' is matched by 'stream' (stream_reorder_test) but is named
     # anyway so the intent survives a test-file rename.
-    MATRIX_ARGS=(-R 'stream|query|reorder|warm_start|grid_index')
+    MATRIX_ARGS=(-R 'stream|query|reorder|warm_start|grid_index|cluster')
   fi
   for san in address undefined; do
     echo ">>> sanitizer matrix: $san"
