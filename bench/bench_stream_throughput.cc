@@ -126,11 +126,11 @@ BENCHMARK(BM_StreamIngestWithWal)->Arg(64)->Arg(256);
 // The shard-scaling curve: full-engine ingestion (ingest thread routing
 // events into per-shard SPSC rings, one worker per shard, merge barrier
 // + freeze at the end) at 1, 2, and 4 shards over the identical planted
-// stream. Arg(1) runs the inline single-writer path — the same code
+// stream. Arg(1) applies its lone shard inline — the same code
 // BM_StreamEngineIngest exercises — so the 2- and 4-shard rows read
-// directly as the parallel speedup (or, on a single-CPU host, the
-// queue-hand-off tax; see docs/STREAMING.md for the measured curve and
-// the merge-cost model).
+// directly as the parallel speedup, or as the ring hand-off tax where
+// that costs more than it parallelises (see docs/STREAMING.md for the
+// measured curve and the merge-cost model).
 void BM_ShardedIngest(benchmark::State& state) {
   const size_t stations = 256;
   const auto shard_count = static_cast<size_t>(state.range(0));

@@ -57,7 +57,6 @@
 #include "community/partition.h"
 
 // Network metrics.
-#include "metrics/centrality.h"
 #include "metrics/graph_stats.h"
 
 // Streaming ingestion: sliding-window graphs, immutable snapshots,

@@ -6,8 +6,6 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <utility>
@@ -18,47 +16,14 @@ namespace bikegraph::stream {
 namespace {
 
 namespace fs = std::filesystem;
+using detail::FsyncDirectory;
+using detail::IOError;
+using detail::ResolveEnv;
 
 constexpr char kCheckpointMagic[8] = {'B', 'G', 'C', 'K', 'P', 'T', '1', '\n'};
 /// File layout: magic(8) + u64 payload size + u32 CRC32C(payload) +
 /// payload.
 constexpr size_t kFileHeaderBytes = 20;
-
-std::string CheckpointName(uint64_t wal_seq) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "ckpt-%020" PRIu64 ".ckpt", wal_seq);
-  return buf;
-}
-
-bool ParseCheckpointName(const std::string& name, uint64_t* wal_seq) {
-  if (name.size() != 30 || name.rfind("ckpt-", 0) != 0 ||
-      name.compare(25, 5, ".ckpt") != 0) {
-    return false;
-  }
-  uint64_t seq = 0;
-  for (size_t i = 5; i < 25; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return false;
-    seq = seq * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *wal_seq = seq;
-  return true;
-}
-
-Status IOError(const std::string& what, const std::string& path) {
-  return Status::IOError(what + " '" + path + "': " + std::strerror(errno));
-}
-
-IoEnv* ResolveEnv(IoEnv* env) {
-  return env != nullptr ? env : IoEnv::Default();
-}
-
-Status FsyncDirectory(IoEnv* env, const std::string& directory) {
-  if (env->FsyncDir(directory.c_str()) != 0) {
-    return IOError("fsync directory", directory);
-  }
-  return Status::OK();
-}
 
 void PutEvent(std::string* out, const TripEvent& event) {
   wire::PutI64(out, event.rental_id);
@@ -326,7 +291,7 @@ Status WriteCheckpoint(const std::string& directory,
   file.append(payload);
 
   const std::string final_path =
-      (fs::path(directory) / CheckpointName(checkpoint.wal_seq)).string();
+      (fs::path(directory) / CheckpointFileName(checkpoint.wal_seq)).string();
   const std::string tmp_path = final_path + ".tmp";
   // A failed commit must leave the directory as it found it: every error
   // path below removes the temp (best-effort) so the previous checkpoint
@@ -380,7 +345,7 @@ Result<CheckpointLoadResult> LoadNewestCheckpoint(
   for (const auto& entry : fs::directory_iterator(directory, ec)) {
     const std::string name = entry.path().filename().string();
     uint64_t seq = 0;
-    if (ParseCheckpointName(name, &seq)) {
+    if (ParseCheckpointFileName(name, &seq)) {
       candidates.emplace_back(seq, entry.path().string());
     } else if (name.size() > 4 &&
                name.compare(name.size() - 4, 4, ".tmp") == 0 &&
@@ -450,7 +415,7 @@ Status PruneCheckpoints(const std::string& directory, size_t keep,
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(directory, ec)) {
     uint64_t seq = 0;
-    if (ParseCheckpointName(entry.path().filename().string(), &seq)) {
+    if (ParseCheckpointFileName(entry.path().filename().string(), &seq)) {
       candidates.emplace_back(seq, entry.path().string());
     }
   }

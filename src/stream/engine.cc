@@ -15,11 +15,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-bool IsWalSegmentName(const std::string& name) {
-  return name.size() == 28 && name.rfind("wal-", 0) == 0 &&
-         name.compare(24, 4, ".log") == 0;
-}
-
 }  // namespace
 
 namespace detail {
@@ -41,14 +36,15 @@ struct ShardCommand {
 };
 
 /// One slice of the stream vertical: a reorder buffer and window graph
-/// owning a disjoint set of station pairs, plus the SPSC ring and worker
-/// thread that feed it in sharded mode.
+/// owning a disjoint set of station pairs, plus — once Start() runs, which
+/// only an engine with several shards does — the SPSC ring and worker
+/// thread that feed it.
 ///
 /// Ownership of fields by thread: `ring` is the SPSC hand-off;
 /// `acked`/`stop` are the only cross-thread atomics. Everything else
 /// (reorder, window, dirty, first_error, applied) is written by whichever
 /// thread runs Apply — the worker once started, the ingest thread before
-/// that and in single-shard mode — and read by the ingest thread only at
+/// that and for a lone shard — and read by the ingest thread only at
 /// quiescent points: `acked == pushed` (acquire) proves every command's
 /// effects happened-before the read, and caller-side writes made while
 /// quiescent become visible to the worker through the next ring push
@@ -62,23 +58,25 @@ class EngineShard {
                                      config.suppress_duplicate_rentals,
                                      config.max_duplicate_rental_ids}),
         window(WindowGraphOptions{config.station_count,
-                                  config.window_seconds}),
-        ring(kRingCapacity) {}
+                                  config.window_seconds}) {}
 
-  /// Applies one command. The sequence per kind mirrors the pre-sharding
-  /// engine internals exactly (kEvent = IngestInternal, kAdvance =
-  /// AdvanceInternal, kFlush = FlushInternal), which is what makes a
-  /// one-shard engine bit-identical to the legacy single writer.
+  /// Applies one command. After every command nothing the shard's reorder
+  /// watermark makes releasable is left buffered — the invariant that
+  /// lets the engine's barrier skip shards whose clocks already match.
   Status Apply(const ShardCommand& cmd) {
     ++applied;
-    if (cmd.reorder_wm != INT64_MIN) {
+    if (ReorderBehind(cmd.reorder_wm)) {
       reorder.AdvanceWatermark(CivilTime(cmd.reorder_wm));
     }
     switch (cmd.kind) {
       case ShardCommand::Kind::kEvent: {
-        const Status status = reorder.Push(cmd.event);
-        if (!status.ok()) return status;
-        return DrainReady();
+        Status status = reorder.Push(cmd.event);
+        // A refused (late) event still drains — the forwarded watermark
+        // may have made held events releasable. A failed drain outranks
+        // the refusal: it is the one error that leaves events buffered.
+        Status drained = DrainReady();
+        if (!drained.ok()) return drained;
+        return status;
       }
       case ShardCommand::Kind::kAdvance: {
         // Releases before expiry: events the new watermark makes
@@ -113,18 +111,29 @@ class EngineShard {
     acked.fetch_add(1, std::memory_order_release);
   }
 
+  /// Whether this shard's reorder clock (window) trails `*_wm`.
+  bool ReorderBehind(int64_t reorder_wm) const {
+    return reorder.watermark().seconds_since_epoch() < reorder_wm;
+  }
+  bool WindowBehind(int64_t window_wm) const {
+    return window.watermark().seconds_since_epoch() < window_wm;
+  }
+
   void Start() {
-    worker = std::thread([this] {
+    ring = std::make_unique<SpscRing<ShardCommand>>(kRingCapacity);
+    // The worker keeps its own copy of the ring pointer, so it never
+    // reads the cache line the ingest thread writes per command.
+    worker = std::thread([this, queue = ring.get()] {
       ShardCommand cmd;
       for (;;) {
-        if (ring.TryPop(cmd)) {
+        if (queue->TryPop(cmd)) {
           Execute(cmd);
           continue;
         }
         if (stop.load(std::memory_order_acquire)) {
           // Drain anything that raced in ahead of the stop flag so a
           // shutdown never drops accepted commands.
-          if (ring.TryPop(cmd)) {
+          if (queue->TryPop(cmd)) {
             Execute(cmd);
             continue;
           }
@@ -151,9 +160,11 @@ class EngineShard {
   /// Commands applied over this shard's lifetime — the shard's private
   /// sequence space, persisted per shard in EngineCheckpoint.
   uint64_t applied = 0;
-  SpscRing<ShardCommand> ring;
-  /// Ingest-thread-side count of commands dispatched; quiescence is
-  /// acked == pushed.
+  /// Ingest-thread side, on its own cache line (the worker writes the
+  /// fields above per command): the ring, allocated by Start() — a shard
+  /// applied inline never has one — and the count of commands
+  /// dispatched; quiescence is acked == pushed.
+  alignas(64) std::unique_ptr<SpscRing<ShardCommand>> ring;
   uint64_t pushed = 0;
   alignas(64) std::atomic<uint64_t> acked{0};
   std::atomic<bool> stop{false};
@@ -201,18 +212,15 @@ StreamEngine::StreamEngine(StreamEngineConfig config)
   StartShardWorkers();
 }
 
-StreamEngine::~StreamEngine() { StopShardWorkers(); }
-
-void StreamEngine::StartShardWorkers() {
-  if (shards_.size() <= 1) return;
-  for (auto& shard : shards_) shard->Start();
-  started_ = true;
+StreamEngine::~StreamEngine() {
+  for (auto& shard : shards_) shard->Stop();
 }
 
-void StreamEngine::StopShardWorkers() {
-  if (!started_) return;
-  for (auto& shard : shards_) shard->Stop();
-  started_ = false;
+bool StreamEngine::RunsInline() const { return shards_.size() == 1; }
+
+void StreamEngine::StartShardWorkers() {
+  if (RunsInline()) return;
+  for (auto& shard : shards_) shard->Start();
 }
 
 void StreamEngine::InitDurability() {
@@ -285,35 +293,36 @@ Status StreamEngine::LogRecord(const WalRecord& record) {
   return Status::OK();
 }
 
-Status StreamEngine::ApplySingle(const detail::ShardCommand& cmd) {
-  detail::EngineShard& shard = *shards_[0];
-  const Status status = shard.Apply(cmd);
-  // Eager dirty collection — the legacy per-call dirty_ semantics that
-  // CaptureState's snapshot_clean flag depends on.
+Status StreamEngine::Dispatch(size_t shard_index,
+                              const detail::ShardCommand& cmd) {
+  detail::EngineShard& shard = *shards_[shard_index];
+  if (!RunsInline()) {
+    ++shard.pushed;
+    if (shard.ring) {
+      // A full ring is backpressure: the slow consumer throttles ingest.
+      while (!shard.ring->TryPush(cmd)) std::this_thread::yield();
+    } else {
+      // WAL replay, before the workers start: apply on this thread with
+      // the identical deferred-error bookkeeping, so recovery is
+      // deterministic without worker scheduling in the loop.
+      shard.Execute(cmd);
+    }
+    return Status::OK();
+  }
+  // A lone shard owns the whole stream: apply the command here, fold its
+  // dirty flag at once (CaptureState's snapshot_clean reads dirty_
+  // between barriers), take the buffer's watermark as the global one (it
+  // also sees the drops and suppressions the caller-side raise rule
+  // cannot), and return the command's own status.
+  Status status = shard.Apply(cmd);
   if (shard.dirty) {
     dirty_ = true;
     shard.dirty = false;
   }
-  // With one shard the buffer is authoritative: mirror its watermark
-  // (which also folds in drops and suppressions the caller-side raise
-  // rule cannot see) so capture/restore round-trips exactly.
   global_reorder_wm_ = shard.reorder.watermark().seconds_since_epoch();
+  // A fresh OK, not a move of `status`: this runs once per event.
+  if (status.ok()) return Status::OK();
   return status;
-}
-
-void StreamEngine::Deliver(size_t shard_index,
-                           const detail::ShardCommand& cmd) {
-  detail::EngineShard& shard = *shards_[shard_index];
-  ++shard.pushed;
-  if (started_) {
-    // A full ring is backpressure: the slow consumer throttles ingest.
-    while (!shard.ring.TryPush(cmd)) std::this_thread::yield();
-    return;
-  }
-  // WAL replay / pre-start: apply on this thread with the identical
-  // deferred-error bookkeeping, so recovery is deterministic without
-  // worker scheduling in the loop.
-  shard.Execute(cmd);
 }
 
 void StreamEngine::WaitQuiescent() {
@@ -340,35 +349,46 @@ Status StreamEngine::CollectShardState() {
 }
 
 Status StreamEngine::BarrierQuiesce() {
-  // Phase 1: align every shard's reorder clock to stream-wide time and
-  // drain what that releases — a shard that last saw an event long ago
-  // may hold events the global watermark has since made releasable.
+  // Reading shard state is safe once quiescent: that established the
+  // happens-before edge, and workers stay idle until the next push.
+  WaitQuiescent();
+  // Phase 1: a shard whose reorder clock trails stream-wide time may
+  // hold events the global watermark has since made releasable. Every
+  // other shard drained what its clock released at its last command.
   detail::ShardCommand align;
   align.kind = detail::ShardCommand::Kind::kAdvance;
   align.reorder_wm = global_reorder_wm_;
-  for (size_t i = 0; i < shards_.size(); ++i) Deliver(i, align);
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (shards_[i]->ReorderBehind(global_reorder_wm_)) {
+      BIKEGRAPH_RETURN_NOT_OK(Dispatch(i, align));
+    }
+  }
   WaitQuiescent();
-
-  // Phase 2: the single-writer window watermark is the max over released
-  // event starts and explicit advances; each shard saw only a subset, so
-  // the merged value is the max across shards. Advance every window to
-  // it so expiry and window_start are uniform before a freeze reads
-  // them. (Reading shard state here is safe: quiescence established the
-  // happens-before edge, and workers are idle until we push again.)
-  int64_t window_wm = INT64_MIN;
-  for (const auto& shard : shards_) {
-    window_wm = std::max(window_wm,
-                         shard->window.watermark().seconds_since_epoch());
+  // Phase 2: each shard saw a subset of the stream, so the single-writer
+  // window watermark is the max over shards; advance every window behind
+  // it so expiry and window_start are uniform before a freeze.
+  align.window_wm = watermark().seconds_since_epoch();
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (shards_[i]->WindowBehind(align.window_wm)) {
+      BIKEGRAPH_RETURN_NOT_OK(Dispatch(i, align));
+    }
   }
-  if (window_wm != INT64_MIN) {
-    detail::ShardCommand advance;
-    advance.kind = detail::ShardCommand::Kind::kAdvance;
-    advance.reorder_wm = global_reorder_wm_;
-    advance.window_wm = window_wm;
-    for (size_t i = 0; i < shards_.size(); ++i) Deliver(i, advance);
-    WaitQuiescent();
-  }
+  WaitQuiescent();
   return CollectShardState();
+}
+
+bool StreamEngine::PublishedSnapshotIsCurrent() {
+  if (dirty_ || publisher_.Current() == nullptr) return false;
+  WaitQuiescent();
+  const int64_t window_wm = watermark().seconds_since_epoch();
+  for (const auto& shard : shards_) {
+    if (shard->dirty || !shard->first_error.ok() ||
+        shard->ReorderBehind(global_reorder_wm_) ||
+        shard->WindowBehind(window_wm)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 Status StreamEngine::Ingest(const TripEvent& event) {
@@ -408,7 +428,6 @@ Status StreamEngine::IngestInternal(const TripEvent& event) {
   detail::ShardCommand cmd;
   cmd.kind = detail::ShardCommand::Kind::kEvent;
   cmd.event = event;
-  if (shards_.size() == 1) return ApplySingle(cmd);
   // Stream-wide watermark bookkeeping, mirroring ReorderBuffer::Push's
   // raise rule exactly: an arrival raises the watermark iff it is not
   // late and moves time forward. The command carries the *pre-event*
@@ -423,8 +442,8 @@ Status StreamEngine::IngestInternal(const TripEvent& event) {
       global_reorder_wm_ != INT64_MIN &&
       start < global_reorder_wm_ - config_.max_lateness_seconds;
   if (!late && start > global_reorder_wm_) global_reorder_wm_ = start;
-  Deliver(router_.OwnerOfPair(event.from_station, event.to_station), cmd);
-  return Status::OK();
+  return Dispatch(router_.OwnerOfPair(event.from_station, event.to_station),
+                  cmd);
 }
 
 Status StreamEngine::Advance(CivilTime watermark) {
@@ -442,11 +461,10 @@ Status StreamEngine::AdvanceInternal(CivilTime watermark) {
   cmd.kind = detail::ShardCommand::Kind::kAdvance;
   cmd.reorder_wm = global_reorder_wm_;
   cmd.window_wm = target;
-  if (shards_.size() == 1) return ApplySingle(cmd);
-  // Broadcast without waiting: an advance is pipelined like any event,
-  // and its errors (none in practice — DrainReady failures) surface at
-  // the next barrier with everything else.
-  for (size_t i = 0; i < shards_.size(); ++i) Deliver(i, cmd);
+  // Broadcast without waiting: an advance is pipelined like any event.
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    BIKEGRAPH_RETURN_NOT_OK(Dispatch(i, cmd));
+  }
   return Status::OK();
 }
 
@@ -460,34 +478,19 @@ Status StreamEngine::Flush() {
 
 Status StreamEngine::FlushInternal() {
   flushed_ = true;
+  // A barrier point: drain every shard completely and surface any
+  // deferred error — end-of-stream leaves nothing parked and nothing
+  // unsaid.
   detail::ShardCommand cmd;
   cmd.kind = detail::ShardCommand::Kind::kFlush;
-  if (shards_.size() == 1) return ApplySingle(cmd);
-  // A barrier point: align clocks, drain every shard completely, and
-  // surface any deferred error — end-of-stream must leave nothing
-  // parked and nothing unsaid.
   cmd.reorder_wm = global_reorder_wm_;
-  for (size_t i = 0; i < shards_.size(); ++i) Deliver(i, cmd);
-  WaitQuiescent();
-  // The flush released each shard's held events, but a shard whose
-  // newest event lags the stream still has trips the single-writer
-  // window would already have expired. Advance every window to the
-  // merged watermark (phase 2 of the freeze barrier; the sealed reorder
-  // buffers are left alone) so post-flush live counts match the
-  // single-writer engine exactly.
-  int64_t window_wm = INT64_MIN;
-  for (const auto& shard : shards_) {
-    window_wm = std::max(window_wm,
-                         shard->window.watermark().seconds_since_epoch());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    BIKEGRAPH_RETURN_NOT_OK(Dispatch(i, cmd));
   }
-  if (window_wm != INT64_MIN) {
-    detail::ShardCommand align;
-    align.kind = detail::ShardCommand::Kind::kAdvance;
-    align.window_wm = window_wm;
-    for (size_t i = 0; i < shards_.size(); ++i) Deliver(i, align);
-    WaitQuiescent();
-  }
-  return CollectShardState();
+  // Every reorder clock is now at the global watermark, so the barrier
+  // only aligns the windows: a shard whose newest event lags the stream
+  // still holds trips the single-writer window has already expired.
+  return BarrierQuiesce();
 }
 
 Result<std::shared_ptr<const WindowSnapshot>> StreamEngine::Snapshot() {
@@ -496,17 +499,10 @@ Result<std::shared_ptr<const WindowSnapshot>> StreamEngine::Snapshot() {
     return Status::InvalidArgument(
         "station_positions must cover every station id");
   }
-  if (shards_.size() == 1) {
-    // The reuse path changes nothing, so it is not logged; replay
-    // reaches the same (dirty, published) state and skips it
-    // identically. Sharded engines must not take this shortcut: even a
-    // no-change Snapshot runs the barrier, which moves checkpointed
-    // per-shard watermarks, so every sharded Snapshot is logged.
-    if (!dirty_) {
-      auto current = publisher_.Current();
-      if (current) return current;
-    }
-  }
+  // The reuse path changes nothing — its barrier would send no command
+  // and its freeze would reuse the epoch — so it is not logged; replay
+  // reaches the same state and skips it identically.
+  if (PublishedSnapshotIsCurrent()) return publisher_.Current();
   WalRecord record;
   record.type = WalRecordType::kSnapshot;
   BIKEGRAPH_RETURN_NOT_OK(LogRecord(record));
@@ -520,9 +516,7 @@ StreamEngine::SnapshotInternal() {
     return Status::InvalidArgument(
         "station_positions must cover every station id");
   }
-  if (shards_.size() > 1) {
-    BIKEGRAPH_RETURN_NOT_OK(BarrierQuiesce());
-  }
+  BIKEGRAPH_RETURN_NOT_OK(BarrierQuiesce());
   if (!dirty_) {
     auto current = publisher_.Current();
     if (current) return current;
@@ -539,45 +533,27 @@ StreamEngine::SnapshotInternal() {
   // a large dirty fraction all fall back to a full rebuild inside
   // FreezeSnapshotDelta. With deltas disabled the window is never
   // drained at all, so tracking stays unarmed and ingest keeps its
-  // zero-bookkeeping hot path. Sharded: per-shard drains merge in shard
-  // order into the one set the delta freeze patches.
+  // zero-bookkeeping hot path. Per-shard drains merge in shard order into
+  // the one set the delta freeze patches.
   WindowDirtySet changes;
   if (config_.snapshot_delta.enabled) {
-    if (shards_.size() == 1) {
-      changes = shards_[0]->window.DrainDirty();
-    } else {
-      std::vector<WindowDirtySet> parts;
-      parts.reserve(shards_.size());
-      for (const auto& shard : shards_) {
-        parts.push_back(shard->window.DrainDirty());
-      }
-      changes = MergeDirtySets(parts);
+    std::vector<WindowDirtySet> parts;
+    parts.reserve(shards_.size());
+    for (const auto& shard : shards_) {
+      parts.push_back(shard->window.DrainDirty());
     }
+    changes = MergeDirtySets(std::move(parts));
   }
   bool used_delta = false;
   auto previous = publisher_.Current();
   const bool try_delta =
       config_.snapshot_delta.enabled && previous != nullptr && !desynced;
-  Result<WindowSnapshot> frozen = [&]() -> Result<WindowSnapshot> {
-    if (shards_.size() == 1) {
-      const SlidingWindowGraph& window = shards_[0]->window;
-      return try_delta
-                 ? FreezeSnapshotDelta(window, *previous, changes,
-                                       config_.projection, station_index_,
-                                       config_.snapshot_delta, &used_delta)
-                 : FreezeSnapshot(window, config_.projection,
-                                  station_index_);
-    }
-    std::vector<const SlidingWindowGraph*> parts;
-    parts.reserve(shards_.size());
-    for (const auto& shard : shards_) parts.push_back(&shard->window);
-    const ShardedWindowView view(std::move(parts));
-    return try_delta
-               ? FreezeSnapshotDelta(view, *previous, changes,
-                                     config_.projection, station_index_,
-                                     config_.snapshot_delta, &used_delta)
-               : FreezeSnapshot(view, config_.projection, station_index_);
-  }();
+  const ShardedWindowView view = MergedView();
+  Result<WindowSnapshot> frozen =
+      try_delta ? FreezeSnapshotDelta(view, *previous, changes,
+                                      config_.projection, station_index_,
+                                      config_.snapshot_delta, &used_delta)
+                : FreezeSnapshot(view, config_.projection, station_index_);
   if (!frozen.ok()) {
     if (config_.snapshot_delta.enabled) {
       // The drained changes are lost to tracking; a later delta against
@@ -730,16 +706,11 @@ size_t StreamEngine::delta_desync_count() const {
   return total;
 }
 
-Result<WindowSnapshot> StreamEngine::FreezeFull() const {
-  if (shards_.size() == 1) {
-    return FreezeSnapshot(shards_[0]->window, config_.projection,
-                          station_index_);
-  }
+ShardedWindowView StreamEngine::MergedView() const {
   std::vector<const SlidingWindowGraph*> parts;
   parts.reserve(shards_.size());
   for (const auto& shard : shards_) parts.push_back(&shard->window);
-  return FreezeSnapshot(ShardedWindowView(std::move(parts)),
-                        config_.projection, station_index_);
+  return ShardedWindowView(std::move(parts));
 }
 
 EngineCheckpoint StreamEngine::CaptureState() const {
@@ -792,10 +763,9 @@ Status StreamEngine::Checkpoint() {
   // Quiesce the shards so the capture is a coherent cut of every
   // vertical. The barrier's own clock alignments are not logged, but
   // they are idempotent maxima the next barrier re-derives, so a replay
-  // from an older checkpoint converges at its next barrier point.
-  if (shards_.size() > 1) {
-    BIKEGRAPH_RETURN_NOT_OK(BarrierQuiesce());
-  }
+  // from an older checkpoint converges at its next barrier point. A lone
+  // shard never lags, so for it the barrier changes nothing.
+  BIKEGRAPH_RETURN_NOT_OK(BarrierQuiesce());
   // Sync first: a checkpoint claiming wal_seq N with record N still in
   // the write buffer would, after a crash, restore to a state the log
   // cannot re-derive.
@@ -859,7 +829,9 @@ Status StreamEngine::RestoreFromCheckpoint(
     // and window bounds, and republish — readers and the delta-freeze
     // baseline resume exactly where the crashed run left them.
     publisher_.RestoreEpoch(checkpoint.publisher_epoch - 1);
-    BIKEGRAPH_ASSIGN_OR_RETURN(WindowSnapshot snap, FreezeFull());
+    BIKEGRAPH_ASSIGN_OR_RETURN(
+        WindowSnapshot snap,
+        FreezeSnapshot(MergedView(), config_.projection, station_index_));
     snap.window_start = CivilTime(checkpoint.published_window_start_seconds);
     snap.window_end = CivilTime(checkpoint.published_window_end_seconds);
     publisher_.Publish(std::move(snap));
@@ -996,7 +968,8 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Recover(
     // appending to the tail would tear its sequence. The checkpoint
     // carries all their state, so drop the segments and start fresh.
     for (const auto& entry : fs::directory_iterator(directory, ec)) {
-      if (IsWalSegmentName(entry.path().filename().string())) {
+      uint64_t first_seq = 0;
+      if (ParseWalSegmentName(entry.path().filename().string(), &first_seq)) {
         fs::remove(entry.path(), ec);
       }
     }

@@ -80,19 +80,16 @@ struct StreamEngineConfig {
   DurabilityConfig durability;
   /// Ingest parallelism: the stream vertical is partitioned into this
   /// many shards, each owning its own reorder buffer and window graph
-  /// and fed by a bounded SPSC ring from the ingest thread (stations are
-  /// hash-partitioned; a pair belongs to the shard of its smaller
-  /// endpoint — see ShardRouter). 1 (the default, and the meaning of 0)
-  /// keeps today's single-writer engine: no threads, no queues, every
-  /// call applied inline. With N > 1 the mutating API is unchanged but
-  /// Ingest/Advance errors from inside a shard are deferred to the next
-  /// barrier point (Snapshot/Flush/Checkpoint) instead of returned by
-  /// the enqueuing call, and the live accessors are only meaningful at
-  /// those same quiescent points. Snapshots are bit-identical to the
-  /// single-writer engine's for any N (merge-at-freeze; locked by
-  /// tests/stream_shard_test.cc). `shard_count` is part of the durable
-  /// fingerprint: a WAL directory written under N shards must be
-  /// recovered with N shards.
+  /// (a pair belongs to the shard of its smaller endpoint — see
+  /// ShardRouter). 1 (the default, and the meaning of 0) applies the lone
+  /// shard on the calling thread: no ring, no worker, every call returns
+  /// its own status. With N > 1 each shard has a worker fed by an SPSC
+  /// ring; in-shard Ingest/Advance errors are deferred to the next
+  /// barrier point (Snapshot/Flush/Checkpoint), and the live accessors
+  /// are only meaningful at those quiescent points. Snapshots are
+  /// bit-identical for any N (locked by tests/stream_shard_test.cc).
+  /// Part of the durable fingerprint: a WAL directory written under N
+  /// shards must be recovered with N shards.
   size_t shard_count = 1;
 };
 
@@ -114,16 +111,14 @@ struct StreamEngineConfig {
 /// (Snapshot, Flush, Checkpoint, or construction), when every shard
 /// worker is quiescent.
 ///
-/// Sharded mode (`config.shard_count > 1`): the engine owns one worker
-/// thread per shard. Ingest routes each event to its owning shard's SPSC
-/// ring and returns without waiting; Snapshot runs a two-phase barrier —
-/// first draining every shard to the common reorder watermark, then
-/// advancing every shard window to the merged window watermark — and
-/// freezes the disjoint per-shard windows through one merged view
-/// (stream/shard.h), so the published snapshot is bit-identical to the
-/// single-writer engine's over the same logical stream. See
-/// docs/STREAMING.md for the partition function, barrier, and merge-cost
-/// model.
+/// Shards (`config.shard_count`): one path drives any number. The only
+/// shard-count decision is how a command reaches its shard — inline for
+/// a lone shard, otherwise through the shard's SPSC ring to its worker
+/// thread. Snapshot, Flush and Checkpoint run one barrier that sends
+/// align commands only to shards whose clocks lag, and every freeze
+/// reads the per-shard windows through one merged view (stream/shard.h),
+/// so snapshots are the same for any shard count. See docs/STREAMING.md
+/// for the partition function, barrier, and merge-cost model.
 ///
 /// Typical loop:
 ///
@@ -146,8 +141,8 @@ class StreamEngine {
   /// logging a fresh run over an old one would orphan its records.
   explicit StreamEngine(StreamEngineConfig config);
 
-  /// Joins the shard workers (no-op for shard_count == 1). Commands
-  /// still queued are applied before the workers exit.
+  /// Joins the shard workers (a lone shard has none). Commands still
+  /// queued are applied before the workers exit.
   ~StreamEngine();
 
   StreamEngine(const StreamEngine&) = delete;
@@ -216,13 +211,12 @@ class StreamEngine {
   [[nodiscard]] Status Flush();
 
   /// Freezes the live window into an immutable snapshot, publishes it,
-  /// and returns it. Reuses the latest snapshot when nothing changed
-  /// since it was published. After any ApplyDelta desync (see
+  /// and returns it. A barrier point (surfaces deferred shard errors).
+  /// Reuses the latest snapshot, without a WAL record, when every shard
+  /// is quiescent, aligned and clean, holds no deferred error, and
+  /// nothing changed since the publish. After any ApplyDelta desync (see
   /// `delta_desync_count()`) the freeze takes the full-rebuild path once,
   /// which resynchronizes the published graph with the live counters.
-  /// Sharded: a barrier point — drains every shard to the common
-  /// watermark, merges the per-shard dirty sets in shard order, and
-  /// freezes through the merged view; surfaces deferred shard errors.
   [[nodiscard]] Result<std::shared_ptr<const WindowSnapshot>> Snapshot();
 
   /// The most recently published snapshot (nullptr before the first
@@ -257,8 +251,9 @@ class StreamEngine {
   /// Durability only: syncs the WAL, writes a crash-consistent checkpoint
   /// of the complete engine state, prunes old checkpoints down to
   /// `checkpoints_kept`, and prunes WAL segments no kept checkpoint
-  /// needs. FailedPrecondition when durability is disabled. Sharded: a
-  /// barrier point (the checkpoint must capture quiescent shards).
+  /// needs. FailedPrecondition when durability is disabled. A barrier
+  /// point (the checkpoint must capture quiescent shards); with one shard
+  /// it leaves the engine state untouched.
   [[nodiscard]] Status Checkpoint();
 
   /// Copies out the complete logical state (what `Checkpoint()` writes),
@@ -269,8 +264,8 @@ class StreamEngine {
   EngineCheckpoint CaptureState() const;
 
   const StreamEngineConfig& config() const { return config_; }
-  /// Shards this engine ingests through (>= 1; 1 = the single-writer
-  /// engine, no worker threads).
+  /// Shards this engine ingests through (>= 1; a lone shard is applied
+  /// inline, without a worker thread).
   size_t shard_count() const { return shards_.size(); }
   /// Shard 0's live window. With one shard this is *the* window (the
   /// legacy accessor); with several it is one disjoint slice — use
@@ -371,12 +366,13 @@ class StreamEngine {
   /// surfaces on the first durable call.
   void InitDurability();
 
-  /// Spawns one worker per shard (no-op for shard_count == 1). Called
-  /// after construction/recovery is complete so workers never observe a
+  /// The one shard-count predicate: true when the lone shard is applied
+  /// on the calling thread. Read only by Dispatch and StartShardWorkers.
+  bool RunsInline() const;
+  /// Spawns one worker per shard unless RunsInline(). Called after
+  /// construction/recovery is complete so workers never observe a
   /// half-built engine.
   void StartShardWorkers();
-  /// Signals and joins every worker; queued commands finish first.
-  void StopShardWorkers();
 
   /// Appends `record` (the intent of the current public call) to the WAL
   /// before the call's state change is applied. No-op (OK) when
@@ -405,17 +401,11 @@ class StreamEngine {
   Result<std::shared_ptr<const WindowSnapshot>> SnapshotInternal();
   Result<RefreshOutcome> DetectInternal(const community::DetectSpec& spec);
 
-  /// Single-shard fast path: applies `cmd` to shard 0 on the calling
-  /// thread, collects its dirty flag eagerly (the legacy `dirty_`
-  /// semantics), resyncs the global reorder watermark from the
-  /// authoritative buffer, and returns the command's status directly —
-  /// bit-for-bit the pre-sharding engine.
-  Status ApplySingle(const detail::ShardCommand& cmd);
-  /// Multi-shard dispatch: enqueue on the shard's ring (spinning on a
-  /// full ring) when workers run, or apply inline with the same
-  /// deferred-error bookkeeping during WAL replay. Never fails;
-  /// per-command failures park in the shard's first_error.
-  void Deliver(size_t shard, const detail::ShardCommand& cmd);
+  /// Sends `cmd` to shard `shard`: applied on this thread when
+  /// RunsInline(), returning its status; else pushed onto the shard's
+  /// ring (or, during WAL replay, applied here with the same
+  /// deferred-error bookkeeping), returning OK.
+  Status Dispatch(size_t shard, const detail::ShardCommand& cmd);
   /// Blocks until every shard has applied every command dispatched so
   /// far (acked == pushed, acquire).
   void WaitQuiescent();
@@ -423,30 +413,32 @@ class StreamEngine {
   /// them) and returns the first deferred shard error in shard order
   /// (clearing all) — each error is surfaced exactly once.
   Status CollectShardState();
-  /// The sharded freeze barrier: phase 1 aligns every shard's reorder
-  /// clock to the global watermark and drains what that releases; phase
-  /// 2 advances every shard window to the merged window watermark so
-  /// expiry is uniform. Quiescent on return; surfaces deferred errors.
+  /// The barrier of Snapshot, Flush and Checkpoint: waits for
+  /// quiescence, then aligns only the shards whose reorder clock or
+  /// window trails the stream-wide one. Quiescent on return; surfaces
+  /// deferred errors.
   Status BarrierQuiesce();
-  /// Full (non-delta) freeze of the live window — shard 0 directly, or
-  /// the merged view over all shards. Shards must be quiescent.
-  Result<WindowSnapshot> FreezeFull() const;
+  /// True when a Snapshot() would change nothing: a published epoch
+  /// exists, dirty_ is clear, and every shard is quiescent, aligned,
+  /// clean and without a deferred error.
+  bool PublishedSnapshotIsCurrent();
+  /// Every shard's window behind one read-only view (what freezes read).
+  ShardedWindowView MergedView() const;
 
   StreamEngineConfig config_;
   /// pair -> owning shard (stable splitmix64 hash; see stream/shard.h).
   ShardRouter router_;
   /// The shard vertical(s): reorder buffer + window graph + dirty flag
-  /// (+ ring and worker when shard_count > 1). Never empty; shard 0
-  /// doubles as the single-writer engine.
+  /// (+ ring and worker unless RunsInline()). Never empty.
   std::vector<std::unique_ptr<detail::EngineShard>> shards_;
   SnapshotPublisher publisher_;
   IncrementalCommunityTracker tracker_;
   /// Built once from config_.station_positions and shared by every
   /// snapshot (stations never move between windows).
   std::shared_ptr<const geo::GridIndex> station_index_;
-  /// True when the live window changed after the last publish. With one
-  /// shard it is updated eagerly per call; with several it absorbs the
-  /// shard dirty flags at each barrier.
+  /// True when the live window changed after the last publish. An inline
+  /// shard's flag is folded in per command; worker shards' flags are
+  /// absorbed at each barrier.
   bool dirty_ = true;
   bool flushed_ = false;
   /// Written by the ingestion thread, polled by dashboard threads.
@@ -460,13 +452,9 @@ class StreamEngine {
   /// is not late and moves time forward) plus explicit advances. Every
   /// dispatched command carries it so a shard that last saw an event an
   /// hour ago still makes late/release decisions against stream-wide
-  /// time, not its own stale clock. With one shard it simply mirrors the
-  /// buffer's own watermark.
+  /// time, not its own stale clock. An inline shard's buffer is
+  /// authoritative (Dispatch copies its watermark back).
   int64_t global_reorder_wm_ = INT64_MIN;
-  /// True once shard workers run (shard_count > 1, after construction /
-  /// recovery). False means every Deliver applies inline — which is how
-  /// WAL replay stays deterministic.
-  bool started_ = false;
 
   /// nullptr when durability is disabled.
   std::unique_ptr<WalWriter> wal_;

@@ -1,6 +1,9 @@
 #include "stream/shard.h"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <utility>
 
 namespace bikegraph::stream {
 
@@ -102,32 +105,29 @@ analysis::StationProfiles ShardedWindowView::Profiles() const {
   return profiles;
 }
 
-WindowDirtySet MergeDirtySets(const std::vector<WindowDirtySet>& inputs) {
-  WindowDirtySet merged;
-  merged.complete = !inputs.empty();
-  size_t pair_total = 0;
-  size_t station_total = 0;
-  for (const WindowDirtySet& in : inputs) {
+WindowDirtySet MergeDirtySets(std::vector<WindowDirtySet> inputs) {
+  if (inputs.empty()) return WindowDirtySet{};
+  WindowDirtySet merged = std::move(inputs[0]);
+  std::vector<uint64_t> pairs;
+  std::vector<int32_t> stations;
+  for (size_t i = 1; i < inputs.size(); ++i) {
+    const WindowDirtySet& in = inputs[i];
     merged.complete = merged.complete && in.complete;
-    pair_total += in.pairs.size();
-    station_total += in.stations.size();
+    // Pairs are disjoint across shards (exclusive ownership), so a plain
+    // merge is already the deduplicated union; stations can be dirtied
+    // from several shards and need the set union.
+    pairs.clear();
+    pairs.reserve(merged.pairs.size() + in.pairs.size());
+    std::merge(merged.pairs.begin(), merged.pairs.end(), in.pairs.begin(),
+               in.pairs.end(), std::back_inserter(pairs));
+    merged.pairs.swap(pairs);
+    stations.clear();
+    stations.reserve(merged.stations.size() + in.stations.size());
+    std::set_union(merged.stations.begin(), merged.stations.end(),
+                   in.stations.begin(), in.stations.end(),
+                   std::back_inserter(stations));
+    merged.stations.swap(stations);
   }
-  merged.pairs.reserve(pair_total);
-  merged.stations.reserve(station_total);
-  for (const WindowDirtySet& in : inputs) {
-    merged.pairs.insert(merged.pairs.end(), in.pairs.begin(),
-                        in.pairs.end());
-    merged.stations.insert(merged.stations.end(), in.stations.begin(),
-                           in.stations.end());
-  }
-  // Pairs are disjoint across shards (exclusive ownership), so sorting
-  // alone yields the deduplicated union; stations can be dirtied from
-  // several shards and need the unique pass.
-  std::sort(merged.pairs.begin(), merged.pairs.end());
-  std::sort(merged.stations.begin(), merged.stations.end());
-  merged.stations.erase(
-      std::unique(merged.stations.begin(), merged.stations.end()),
-      merged.stations.end());
   return merged;
 }
 

@@ -158,13 +158,15 @@ class ShardedWindowView {
 };
 
 /// \brief Merges per-shard dirty sets (each from that shard's
-/// `DrainDirty()`) into the one `WindowDirtySet` the delta freeze
-/// patches: pairs are a disjoint sorted union (exclusive ownership),
-/// stations a sorted deduplicated union (one station's profile can be
-/// touched from several shards), and the result is complete only when
-/// every shard's record is (one overflowed or unarmed shard poisons the
-/// merge, forcing the full-freeze path — never a silent partial patch).
-/// `inputs` must be in shard order so the merge is deterministic.
-WindowDirtySet MergeDirtySets(const std::vector<WindowDirtySet>& inputs);
+/// `DrainDirty()`, so sorted and deduplicated) into the one
+/// `WindowDirtySet` the delta freeze patches, in linear time: pairs are a
+/// disjoint sorted union (exclusive ownership), stations a sorted
+/// deduplicated union (one station's profile can be touched from several
+/// shards), and the result is complete only when every shard's record is
+/// (one overflowed or unarmed shard poisons the merge, forcing the
+/// full-freeze path — never a silent partial patch). `inputs` must be in
+/// shard order so the merge is deterministic; a lone set is returned as
+/// is.
+WindowDirtySet MergeDirtySets(std::vector<WindowDirtySet> inputs);
 
 }  // namespace bikegraph::stream

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 #include <utility>
 
 namespace bikegraph::stream {
@@ -17,6 +18,9 @@ namespace bikegraph::stream {
 namespace {
 
 namespace fs = std::filesystem;
+using detail::FsyncDirectory;
+using detail::IOError;
+using detail::ResolveEnv;
 
 /// Frame header: u32 payload length + u32 CRC32C(payload).
 constexpr size_t kFrameHeaderBytes = 8;
@@ -30,41 +34,31 @@ constexpr uint32_t kMaxPayloadBytes = 1u << 16;
 /// User-space write-through threshold.
 constexpr size_t kWriteBufferBytes = 64u << 10;
 
-std::string SegmentName(uint64_t first_seq) {
+constexpr size_t kSeqDigits = 20;
+
+std::string SeqFileName(const char* prefix, uint64_t seq,
+                        const char* suffix) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "wal-%020" PRIu64 ".log", first_seq);
+  std::snprintf(buf, sizeof(buf), "%s%020" PRIu64 "%s", prefix, seq, suffix);
   return buf;
 }
 
-/// Parses "wal-<seq20>.log"; false for any other name.
-bool ParseSegmentName(const std::string& name, uint64_t* first_seq) {
-  if (name.size() != 28 || name.rfind("wal-", 0) != 0 ||
-      name.compare(24, 4, ".log") != 0) {
+/// Parses "<prefix><seq20><suffix>"; false for any other name.
+bool ParseSeqFileName(const std::string& name, std::string_view prefix,
+                      std::string_view suffix, uint64_t* seq_out) {
+  if (name.size() != prefix.size() + kSeqDigits + suffix.size() ||
+      name.compare(0, prefix.size(), prefix) != 0 ||
+      name.compare(prefix.size() + kSeqDigits, suffix.size(), suffix) != 0) {
     return false;
   }
   uint64_t seq = 0;
-  for (size_t i = 4; i < 24; ++i) {
+  for (size_t i = prefix.size(); i < prefix.size() + kSeqDigits; ++i) {
     const char c = name[i];
     if (c < '0' || c > '9') return false;
     seq = seq * 10 + static_cast<uint64_t>(c - '0');
   }
-  *first_seq = seq;
+  *seq_out = seq;
   return true;
-}
-
-Status IOError(const std::string& what, const std::string& path) {
-  return Status::IOError(what + " '" + path + "': " + std::strerror(errno));
-}
-
-IoEnv* ResolveEnv(IoEnv* env) {
-  return env != nullptr ? env : IoEnv::Default();
-}
-
-Status FsyncDirectory(IoEnv* env, const std::string& directory) {
-  if (env->FsyncDir(directory.c_str()) != 0) {
-    return IOError("fsync directory", directory);
-  }
-  return Status::OK();
 }
 
 /// EAGAIN/EWOULDBLOCK and ENOSPC earn backed-off retries (FaultPolicy);
@@ -75,23 +69,6 @@ bool IsTransientErrno(int err) {
   if (err == EWOULDBLOCK) return true;
 #endif
   return false;
-}
-
-/// Parses "ckpt-<seq20>.ckpt" (the checkpoint codec's naming, duplicated
-/// here so the WAL's ENOSPC self-heal needs no checkpoint dependency).
-bool ParseCheckpointFileName(const std::string& name, uint64_t* seq_out) {
-  if (name.size() != 30 || name.rfind("ckpt-", 0) != 0 ||
-      name.compare(25, 5, ".ckpt") != 0) {
-    return false;
-  }
-  uint64_t seq = 0;
-  for (size_t i = 5; i < 25; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return false;
-    seq = seq * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *seq_out = seq;
-  return true;
 }
 
 void EncodeSpec(const community::DetectSpec& spec, std::string* out) {
@@ -241,7 +218,7 @@ std::vector<std::pair<uint64_t, std::string>> ListSegments(
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(directory, ec)) {
     uint64_t first_seq = 0;
-    if (ParseSegmentName(entry.path().filename().string(), &first_seq)) {
+    if (ParseWalSegmentName(entry.path().filename().string(), &first_seq)) {
       segments.emplace_back(first_seq, entry.path().string());
     }
   }
@@ -250,6 +227,41 @@ std::vector<std::pair<uint64_t, std::string>> ListSegments(
 }
 
 }  // namespace
+
+namespace detail {
+
+Status IOError(const std::string& what, const std::string& path) {
+  return Status::IOError(what + " '" + path + "': " + std::strerror(errno));
+}
+
+IoEnv* ResolveEnv(IoEnv* env) {
+  return env != nullptr ? env : IoEnv::Default();
+}
+
+Status FsyncDirectory(IoEnv* env, const std::string& directory) {
+  if (env->FsyncDir(directory.c_str()) != 0) {
+    return IOError("fsync directory", directory);
+  }
+  return Status::OK();
+}
+
+}  // namespace detail
+
+std::string WalSegmentName(uint64_t first_seq) {
+  return SeqFileName("wal-", first_seq, ".log");
+}
+
+std::string CheckpointFileName(uint64_t wal_seq) {
+  return SeqFileName("ckpt-", wal_seq, ".ckpt");
+}
+
+bool ParseWalSegmentName(const std::string& name, uint64_t* first_seq) {
+  return ParseSeqFileName(name, "wal-", ".log", first_seq);
+}
+
+bool ParseCheckpointFileName(const std::string& name, uint64_t* wal_seq) {
+  return ParseSeqFileName(name, "ckpt-", ".ckpt", wal_seq);
+}
 
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
   // Table built once, on first use (thread-safe under C++11 statics).
@@ -333,7 +345,7 @@ void WalWriter::TryEnospcSelfHeal() {
 
 Status WalWriter::OpenSegment(uint64_t first_seq) {
   const std::string path =
-      (fs::path(config_.directory) / SegmentName(first_seq)).string();
+      (fs::path(config_.directory) / WalSegmentName(first_seq)).string();
   uint32_t delayed_left = config_.faults.max_retries;
   int64_t backoff_ms =
       std::max<int64_t>(config_.faults.backoff_initial_ms, 1);
@@ -618,7 +630,7 @@ bool DirectoryHasDurableState(const std::string& directory) {
   for (const auto& entry : fs::directory_iterator(directory, ec)) {
     const std::string name = entry.path().filename().string();
     uint64_t seq = 0;
-    if (ParseSegmentName(name, &seq)) return true;
+    if (ParseWalSegmentName(name, &seq)) return true;
     if (ParseCheckpointFileName(name, &seq)) return true;
     if (name == kDegradedMarkerName) return true;
   }

@@ -96,10 +96,8 @@ enum class WalRecordType : uint8_t {
                   ///< replay reproduces the drop/suppress counters too.
   kAdvance = 2,   ///< Advance(watermark)
   kFlush = 3,     ///< Flush()
-  kSnapshot = 4,  ///< Snapshot() that was not a published-epoch no-op.
-                  ///< Sharded engines (shard_count > 1) log every
-                  ///< Snapshot(): even a would-be reuse runs the freeze
-                  ///< barrier, which moves checkpointed shard clocks.
+  kSnapshot = 4,  ///< Snapshot() that was not a published-epoch reuse
+                  ///< (see StreamEngine::Snapshot for the reuse rule).
   kDetect = 5,    ///< DetectCurrent(); `default_spec` distinguishes the
                   ///< engine-default spec from an explicit one
 };
@@ -240,6 +238,17 @@ struct WalReadResult {
 /// re-derivable from it (0 prunes nothing).
 [[nodiscard]] uint64_t OldestCheckpointSeq(const std::string& directory);
 
+/// \brief The one owner of the durable file names (layout: see
+/// DurabilityConfig; <seq20> is exactly 20 decimal digits). The parsers
+/// reject any other name, so every caller agrees on which files are
+/// durable state.
+std::string WalSegmentName(uint64_t first_seq);
+std::string CheckpointFileName(uint64_t wal_seq);
+[[nodiscard]] bool ParseWalSegmentName(const std::string& name,
+                                       uint64_t* first_seq);
+[[nodiscard]] bool ParseCheckpointFileName(const std::string& name,
+                                           uint64_t* wal_seq);
+
 /// \brief True when `directory` holds WAL segments or checkpoints — the
 /// fresh-engine constructor refuses such a directory so a misconfigured
 /// restart cannot silently shadow recoverable state. A degraded marker
@@ -263,6 +272,15 @@ void WriteDegradedMarker(const DurabilityConfig& config,
 
 /// \brief True when `directory` holds the degraded marker.
 [[nodiscard]] bool HasDegradedMarker(const std::string& directory);
+
+/// I/O helpers shared by the WAL and checkpoint writers.
+namespace detail {
+/// IOError "<what> '<path>': <strerror(errno)>".
+Status IOError(const std::string& what, const std::string& path);
+/// `env`, or IoEnv::Default() for nullptr.
+IoEnv* ResolveEnv(IoEnv* env);
+Status FsyncDirectory(IoEnv* env, const std::string& directory);
+}  // namespace detail
 
 /// Little-endian wire helpers shared by the WAL and checkpoint codecs.
 /// Writers append to a std::string; the reader is a bounds-checked cursor

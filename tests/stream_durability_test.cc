@@ -504,6 +504,66 @@ TEST(StreamEngineDurabilityTest, RecoverRejectsShardCountMismatch) {
   fs::remove_all(dir);
 }
 
+TEST(StreamEngineDurabilityTest, RecoverLeavesNonSegmentWalNamesInPlace) {
+  // Shaped like a segment name, but the sequence field is not 20 digits:
+  // ReadWal does not treat it as a segment, so Recover()'s reset path
+  // (no surviving records) must not delete it either.
+  const fs::path dir = FreshDir("non_segment_name");
+  const fs::path stray = dir / "wal-abcdefghijklmnopqrst.log";
+  { std::ofstream out(stray); out << "not a segment"; }
+  StreamEngineConfig config;
+  config.station_count = 4;
+  config.durability.enabled = true;
+  config.durability.directory = dir.string();
+  auto engine = StreamEngine::Recover(config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_TRUE(fs::exists(stray));
+  fs::remove_all(dir);
+}
+
+TEST(StreamEngineDurabilityTest, AlignedBarrierChangesNothingAndLogsNothing) {
+  // The barrier sends align commands only to lagging shards, and a lone
+  // shard never lags: its Checkpoint() leaves the state untouched and a
+  // no-change Snapshot() is an unlogged reuse. Two shards reach the same
+  // reuse once a barrier (here Flush) has aligned them.
+  const int64_t lateness = 600;
+  const auto jittered = JitterArrivalOrder(
+      testing::PlantedStream(16, 2, /*days=*/2, /*trips_per_day=*/200,
+                             /*seed=*/3),
+      /*shuffle_seconds=*/lateness, /*seed=*/3);
+  for (const size_t shards : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    const fs::path dir = FreshDir("aligned_barrier_" + std::to_string(shards));
+    StreamEngineConfig config;
+    config.station_count = 16;
+    config.window_seconds = 86400;
+    config.max_lateness_seconds = lateness;
+    config.shard_count = shards;
+    config.durability.enabled = true;
+    config.durability.directory = dir.string();
+    StreamEngine engine(config);
+    for (const TripEvent& event : jittered.events) {
+      ASSERT_TRUE(engine.Ingest(event).ok());
+    }
+    if (shards == 1) {
+      const std::string before = SerializeCheckpoint(engine.CaptureState());
+      ASSERT_TRUE(engine.Checkpoint().ok());
+      EXPECT_EQ(SerializeCheckpoint(engine.CaptureState()), before);
+    } else {
+      ASSERT_TRUE(engine.Flush().ok());
+    }
+    auto published = engine.Snapshot();
+    ASSERT_TRUE(published.ok()) << published.status().ToString();
+    const uint64_t seq = engine.wal_seq();
+    auto reused = engine.Snapshot();
+    ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+    EXPECT_EQ(*reused, *published);
+    EXPECT_EQ((*reused)->epoch, (*published)->epoch);
+    EXPECT_EQ(engine.wal_seq(), seq);
+    fs::remove_all(dir);
+  }
+}
+
 // ---------------------------------------------------------------------
 // The headline lock: randomized kill-point recovery, bit for bit.
 

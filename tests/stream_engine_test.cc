@@ -44,7 +44,9 @@ void ExpectGraphsIdentical(const graphdb::WeightedGraph& a,
 
 /// The batch side of the acceptance criterion, computed once for the
 /// whole fixture: synthetic dataset → expansion pipeline → final network.
-class StreamBatchEquivalenceTest : public ::testing::Test {
+/// The parameter is the engine's shard count: the batch pipeline is an
+/// oracle for every shard count that lives outside the engine.
+class StreamBatchEquivalenceTest : public ::testing::TestWithParam<size_t> {
  protected:
   static void SetUpTestSuite() {
     data::SyntheticConfig synth;  // the full synthetic Moby dataset
@@ -64,7 +66,7 @@ class StreamBatchEquivalenceTest : public ::testing::Test {
 
 expansion::PipelineResult* StreamBatchEquivalenceTest::pipeline_ = nullptr;
 
-TEST_F(StreamBatchEquivalenceTest, LandmarkReplayReproducesBatchGBasic) {
+TEST_P(StreamBatchEquivalenceTest, LandmarkReplayReproducesBatchGBasic) {
   const expansion::FinalNetwork& net = pipeline_->final_network;
 
   // Batch: GBasic projection + Louvain, exactly as RunPaperExperiment.
@@ -78,12 +80,13 @@ TEST_F(StreamBatchEquivalenceTest, LandmarkReplayReproducesBatchGBasic) {
   StreamEngineConfig config;
   config.station_count = net.stations.size();
   config.window_seconds = 0;  // final window covers the whole dataset
+  config.shard_count = GetParam();
   StreamEngine engine(config);
   ReplaySource replay = ReplaySource::FromFinalNetwork(pipeline_->cleaned, net);
   EXPECT_EQ(replay.dropped_count(), 0u);  // Table III: no trips are lost
   EXPECT_EQ(replay.events().size(), pipeline_->cleaned.rentals().size());
   ASSERT_TRUE(replay.ReplayInto(&engine).ok());
-  EXPECT_EQ(engine.window().trip_count(), replay.events().size());
+  EXPECT_EQ(engine.trip_count(), replay.events().size());
 
   auto snapshot = engine.Snapshot();
   ASSERT_TRUE(snapshot.ok());
@@ -96,7 +99,7 @@ TEST_F(StreamBatchEquivalenceTest, LandmarkReplayReproducesBatchGBasic) {
   EXPECT_EQ(refresh->result.modularity, batch_detect->modularity);
 }
 
-TEST_F(StreamBatchEquivalenceTest, LandmarkReplayReproducesBatchGDay) {
+TEST_P(StreamBatchEquivalenceTest, LandmarkReplayReproducesBatchGDay) {
   const expansion::FinalNetwork& net = pipeline_->final_network;
   const analysis::ExperimentConfig defaults;
   auto batch_graph = analysis::BuildTemporalGraph(net.graph, defaults.gday);
@@ -106,6 +109,7 @@ TEST_F(StreamBatchEquivalenceTest, LandmarkReplayReproducesBatchGDay) {
   config.station_count = net.stations.size();
   config.window_seconds = 0;
   config.projection = defaults.gday;
+  config.shard_count = GetParam();
   StreamEngine engine(config);
   ReplaySource replay = ReplaySource::FromFinalNetwork(pipeline_->cleaned, net);
   ASSERT_TRUE(replay.ReplayInto(&engine).ok());
@@ -120,6 +124,9 @@ TEST_F(StreamBatchEquivalenceTest, LandmarkReplayReproducesBatchGDay) {
   EXPECT_EQ((*snapshot)->profiles.day, batch_profiles.day);
   EXPECT_EQ((*snapshot)->profiles.hour, batch_profiles.hour);
 }
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, StreamBatchEquivalenceTest,
+                         ::testing::Values(size_t{1}, size_t{2}, size_t{4}));
 
 // ---------------------------------------------------------------------------
 // Sliding-window behaviour on a synthetic planted-community stream.

@@ -577,5 +577,54 @@ TEST(ShardedEngineTest, DeferredShardErrorsSurfaceAtTheNextBarrier) {
   EXPECT_EQ(engine.trip_count(), 1u);
 }
 
+TEST(ShardedEngineTest, RefusedLateEventStillReleasesWhatItsClockMadeSafe) {
+  // A late event's command forwards the global watermark to its owning
+  // shard, whose clock lagged: the held event that watermark made safe
+  // must reach the window although the late event itself is refused —
+  // the barrier sends no align command to a shard already at the global
+  // watermark.
+  const ShardRouter router(2);
+  const int32_t a = 0;
+  const int32_t b = FirstStationNotOwnedBy(router, router.OwnerOf(a), 8);
+  ASSERT_GE(b, 0);
+  StreamEngine single(BaseConfig(8, 0, 1, 3600));
+  StreamEngine sharded(BaseConfig(8, 0, 2, 3600));
+  for (StreamEngine* engine : {&single, &sharded}) {
+    ASSERT_TRUE(engine->Ingest(Trip(a, a, At(6, 10), 1)).ok());
+    ASSERT_TRUE(engine->Ingest(Trip(b, b, At(6, 12), 2)).ok());
+  }
+  // 10:30 is older than the 12:00 watermark minus the 1 h horizon.
+  EXPECT_EQ(single.Ingest(Trip(a, a, At(6, 10, 30), 3)).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(sharded.Ingest(Trip(a, a, At(6, 10, 30), 3)).ok());
+  EXPECT_EQ(sharded.Snapshot().status().code(),
+            StatusCode::kFailedPrecondition);
+
+  auto single_snap = single.Snapshot();
+  auto sharded_snap = sharded.Snapshot();
+  ASSERT_TRUE(single_snap.ok());
+  ASSERT_TRUE(sharded_snap.ok());
+  EXPECT_EQ((*single_snap)->trip_count, 1u);
+  ExpectSnapshotsIdentical(**sharded_snap, **single_snap);
+  EXPECT_EQ(sharded.buffered_count(), single.buffered_count());
+}
+
+TEST(ShardedEngineTest, DrainFailureAfterARefusedLateEventIsNotLost) {
+  // Same shape, but the held event cannot enter the window (a negative
+  // window length refuses every ingest): the drain the refused event
+  // triggers fails, and that failure — not the refusal — is the deferred
+  // error the next barrier reports.
+  const ShardRouter router(2);
+  const int32_t a = 0;
+  const int32_t b = FirstStationNotOwnedBy(router, router.OwnerOf(a), 8);
+  ASSERT_GE(b, 0);
+  StreamEngine sharded(BaseConfig(8, -1, 2, 3600));
+  ASSERT_TRUE(sharded.Ingest(Trip(a, a, At(6, 10), 1)).ok());
+  ASSERT_TRUE(sharded.Ingest(Trip(b, b, At(6, 12), 2)).ok());
+  ASSERT_TRUE(sharded.Ingest(Trip(a, a, At(6, 10, 30), 3)).ok());
+  EXPECT_EQ(sharded.Snapshot().status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace bikegraph::stream

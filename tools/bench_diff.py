@@ -18,9 +18,16 @@ tools/run_benches.sh, and diff —
     tools/run_benches.sh
     tools/bench_diff.py /tmp/base.json BENCH_perf.json
 
-Numbers on the emulated CI host are noisy; 1.15 (the default) tolerates
-run-to-run jitter while catching real order-of-magnitude slips. Raise it
-(e.g. --threshold 1.3) for very short micro benches.
+Both files must carry the same host fingerprint (the "context" block
+tools/run_benches.sh writes: this repo's CMAKE_BUILD_TYPE, the compiler,
+nproc and the ISA extensions); the script refuses to compare files from
+different hosts or builds. The 4-vCPU reference host is a shared VM whose
+speed drifts by 10-50% over minutes, so even same-fingerprint numbers from
+different sessions are weak evidence: prefer same-session A/B runs. Each
+value is the median of BENCH_REPETITIONS runs (run_benches.sh records the
+spread as "cv_real_time"). 1.15 (the default) tolerates run-to-run jitter
+while catching real slips. Raise it (e.g. --threshold 1.3) for very short
+micro benches.
 """
 
 import argparse
@@ -29,16 +36,25 @@ import re
 import sys
 
 
+FINGERPRINT_KEYS = ("cmake_build_type", "compiler", "nproc", "isa")
+
+
 def load(path):
+    """Returns (fingerprint, {binary:benchmark: metrics})."""
     with open(path) as f:
         data = json.load(f)
     if "benches" not in data:
         raise SystemExit(f"{path}: not a BENCH_perf.json (no 'benches' key)")
+    context = data.get("context", {})
+    missing = [key for key in FINGERPRINT_KEYS if key not in context]
+    if missing:
+        raise SystemExit(f"{path}: no host fingerprint ({', '.join(missing)} "
+                         "missing); regenerate it with tools/run_benches.sh")
     flat = {}
     for binary, benches in data["benches"].items():
         for name, metrics in benches.items():
             flat[f"{binary}:{name}"] = metrics
-    return flat
+    return {key: context[key] for key in FINGERPRINT_KEYS}, flat
 
 
 def main():
@@ -56,8 +72,15 @@ def main():
                         help="only compare benchmarks matching this regex")
     args = parser.parse_args()
 
-    base = load(args.baseline)
-    cur = load(args.current)
+    base_host, base = load(args.baseline)
+    cur_host, cur = load(args.current)
+    differing = [key for key in FINGERPRINT_KEYS
+                 if base_host[key] != cur_host[key]]
+    if differing:
+        lines = [f"  {key}: {base_host[key]!r} vs {cur_host[key]!r}"
+                 for key in differing]
+        raise SystemExit("refusing to compare runs from different hosts or "
+                         "builds:\n" + "\n".join(lines))
     pattern = re.compile(args.filter) if args.filter else None
 
     shared = sorted(k for k in base if k in cur
