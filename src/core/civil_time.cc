@@ -1,6 +1,6 @@
 #include "core/civil_time.h"
 
-#include <cstdio>
+#include <charconv>
 
 namespace bikegraph {
 
@@ -64,21 +64,36 @@ Result<CivilTime> CivilTime::FromCalendar(int year, int month, int day,
   return CivilTime(days * 86400 + hour * 3600 + minute * 60 + second);
 }
 
-Result<CivilTime> CivilTime::Parse(const std::string& text) {
-  int y = 0, mo = 0, d = 0, h = 0, mi = 0, s = 0;
-  char sep = 0;
-  int n = std::sscanf(text.c_str(), "%d-%d-%d%c%d:%d:%d", &y, &mo, &d, &sep,
-                      &h, &mi, &s);
-  if (n == 3) {
-    return FromCalendar(y, mo, d);
+namespace {
+
+// Reads exactly `width` ASCII digits starting at text[pos]. At most four
+// digits, so the value cannot overflow.
+bool ReadDigits(std::string_view text, size_t pos, size_t width, int* out) {
+  int value = 0;
+  for (size_t i = pos; i < pos + width; ++i) {
+    const char c = text[i];
+    if (c < '0' || c > '9') return false;
+    value = value * 10 + (c - '0');
   }
-  if (n == 7 && (sep == ' ' || sep == 'T')) {
-    return FromCalendar(y, mo, d, h, mi, s);
-  }
-  return Status::DataLoss("unparseable timestamp: '" + text + "'");
+  *out = value;
+  return true;
 }
 
-namespace {
+// printf's "%0*d": zero-padded to `width` characters, the sign included.
+void AppendZeroPadded(std::string* out, int64_t value, int width) {
+  char buf[24];
+  char* const end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  const char* digits = buf;
+  if (value < 0) {
+    out->push_back('-');
+    ++digits;
+    --width;
+  }
+  for (int pad = width - static_cast<int>(end - digits); pad > 0; --pad) {
+    out->push_back('0');
+  }
+  out->append(digits, static_cast<size_t>(end - digits));
+}
 
 // Floor division helpers so pre-epoch timestamps behave.
 int64_t FloorDiv(int64_t a, int64_t b) {
@@ -90,6 +105,24 @@ int64_t FloorDiv(int64_t a, int64_t b) {
 int64_t FloorMod(int64_t a, int64_t b) { return a - FloorDiv(a, b) * b; }
 
 }  // namespace
+
+Result<CivilTime> CivilTime::Parse(std::string_view text) {
+  int y = 0, mo = 0, d = 0, h = 0, mi = 0, s = 0;
+  const bool date = (text.size() == 10 || text.size() == 19) &&
+                    ReadDigits(text, 0, 4, &y) && text[4] == '-' &&
+                    ReadDigits(text, 5, 2, &mo) && text[7] == '-' &&
+                    ReadDigits(text, 8, 2, &d);
+  const bool time = date && (text.size() == 10 ||
+                             ((text[10] == ' ' || text[10] == 'T') &&
+                              ReadDigits(text, 11, 2, &h) && text[13] == ':' &&
+                              ReadDigits(text, 14, 2, &mi) && text[16] == ':' &&
+                              ReadDigits(text, 17, 2, &s)));
+  if (!time) {
+    return Status::DataLoss("unparseable timestamp: '" + std::string(text) +
+                            "'");
+  }
+  return FromCalendar(y, mo, d, h, mi, s);
+}
 
 int CivilTime::year() const {
   int y, m, d;
@@ -125,13 +158,28 @@ Weekday CivilTime::weekday() const {
   return static_cast<Weekday>(FloorMod(days + 3, 7));
 }
 
-std::string CivilTime::ToString() const {
+void CivilTime::AppendTo(std::string* out) const {
+  const int64_t days = FloorDiv(seconds_, 86400);
   int y, mo, d;
-  CivilFromDays(FloorDiv(seconds_, 86400), &y, &mo, &d);
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d %02d:%02d:%02d", y, mo, d,
-                hour(), minute(), second());
-  return buf;
+  CivilFromDays(days, &y, &mo, &d);
+  const int64_t secs = seconds_ - days * 86400;
+  AppendZeroPadded(out, y, 4);
+  out->push_back('-');
+  AppendZeroPadded(out, mo, 2);
+  out->push_back('-');
+  AppendZeroPadded(out, d, 2);
+  out->push_back(' ');
+  AppendZeroPadded(out, secs / 3600, 2);
+  out->push_back(':');
+  AppendZeroPadded(out, secs % 3600 / 60, 2);
+  out->push_back(':');
+  AppendZeroPadded(out, secs % 60, 2);
+}
+
+std::string CivilTime::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 }  // namespace bikegraph

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/result.h"
 
@@ -47,9 +48,12 @@ class CivilTime {
                                         int hour = 0, int minute = 0,
                                         int second = 0);
 
-  /// Parses "YYYY-MM-DD HH:MM:SS" (also accepts 'T' as the separator and a
-  /// bare "YYYY-MM-DD" date).
-  static Result<CivilTime> Parse(const std::string& text);
+  /// Parses exactly "YYYY-MM-DD" or "YYYY-MM-DD HH:MM:SS" ('T' may replace
+  /// the space). Every field has its fixed number of ASCII digits, so
+  /// unpadded fields, signs, surrounding spaces and trailing bytes are a
+  /// kDataLoss error; a calendar field out of range is FromCalendar's
+  /// kInvalidArgument.
+  static Result<CivilTime> Parse(std::string_view text);
 
   int64_t seconds_since_epoch() const { return seconds_; }
 
@@ -64,8 +68,12 @@ class CivilTime {
   /// ISO weekday of this timestamp.
   Weekday weekday() const;
 
-  /// Formats as "YYYY-MM-DD HH:MM:SS".
+  /// Formats as "YYYY-MM-DD HH:MM:SS" (printf's "%04d-%02d-%02d ..." for
+  /// any year, so a year outside 0-9999 prints wider).
   std::string ToString() const;
+
+  /// Appends the ToString() text to `out` without a temporary.
+  void AppendTo(std::string* out) const;
 
   /// Returns this time advanced by `seconds` (may be negative).
   CivilTime AddSeconds(int64_t seconds) const {

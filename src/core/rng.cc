@@ -1,5 +1,6 @@
 #include "core/rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -119,6 +120,28 @@ size_t Rng::NextWeighted(const std::vector<double>& weights) {
     if (target < acc) return i;
   }
   return weights.size() - 1;
+}
+
+size_t Rng::NextFromCumulative(std::span<const double> cdf) {
+  assert(!cdf.empty() && cdf.back() > 0.0);
+  // NextWeighted returns the first i with target < acc_i, and acc_i is
+  // cdf[i]: that is upper_bound. A target at or past the total (rounding,
+  // or NaN from an infinite total) falls back to the last index, as there.
+  const double target = NextDouble() * cdf.back();
+  const size_t i = static_cast<size_t>(
+      std::upper_bound(cdf.begin(), cdf.end(), target) - cdf.begin());
+  return i < cdf.size() ? i : cdf.size() - 1;
+}
+
+std::vector<double> CumulativeWeights(std::span<const double> weights) {
+  std::vector<double> cdf;
+  cdf.reserve(weights.size());
+  double acc = 0.0;
+  for (double w : weights) {
+    acc += w > 0.0 ? w : 0.0;
+    cdf.push_back(acc);
+  }
+  return cdf;
 }
 
 }  // namespace bikegraph

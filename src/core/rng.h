@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -56,6 +57,13 @@ class Rng {
   /// Non-positive weights are treated as zero; requires a positive total.
   size_t NextWeighted(const std::vector<double>& weights);
 
+  /// Samples an index from a cumulative table built by `CumulativeWeights`.
+  /// Draws one `NextDouble()` and returns exactly the index `NextWeighted`
+  /// would return for the same weights and the same generator state, in
+  /// O(log n) instead of O(n). Requires a non-empty table with a positive
+  /// last entry.
+  size_t NextFromCumulative(std::span<const double> cdf);
+
   /// Fisher–Yates shuffle of `items`.
   template <typename T>
   void Shuffle(std::vector<T>* items) {
@@ -71,5 +79,12 @@ class Rng {
   bool have_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
 };
+
+/// \brief Running sums of `weights` with non-positive weights treated as
+/// zero: entry i is the clamped sum of weights [0, i]. The sums are taken in
+/// the same order `Rng::NextWeighted` takes them, so the table's last entry
+/// is bit-identical to its total and every boundary falls where its linear
+/// scan would put it.
+std::vector<double> CumulativeWeights(std::span<const double> weights);
 
 }  // namespace bikegraph

@@ -1,9 +1,9 @@
 #include "core/string_util.h"
 
 #include <cctype>
-#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace bikegraph {
 
@@ -61,28 +61,51 @@ std::string ToLower(std::string_view text) {
   return out;
 }
 
+namespace {
+
+// std::from_chars over the whole of `t` (non-empty, trimmed), after dropping
+// one leading '+': from_chars takes only '-', strtoll and strtod took both.
+template <typename T>
+std::from_chars_result FromChars(std::string_view t, T* value) {
+  std::string_view body = t;
+  if (body.front() == '+') {
+    body.remove_prefix(1);
+    if (body.empty() || body.front() == '-') {
+      return {t.data(), std::errc::invalid_argument};
+    }
+  }
+  return std::from_chars(body.data(), body.data() + body.size(), *value);
+}
+
+}  // namespace
+
 Result<int64_t> ParseInt(std::string_view text) {
-  std::string t(Trim(text));
+  const std::string_view t = Trim(text);
   if (t.empty()) return Status::DataLoss("empty integer field");
-  errno = 0;
-  char* end = nullptr;
-  int64_t value = std::strtoll(t.c_str(), &end, 10);
-  if (errno == ERANGE) return Status::OutOfRange("integer overflow: " + t);
-  if (end != t.c_str() + t.size()) {
-    return Status::DataLoss("invalid integer: '" + t + "'");
+  int64_t value = 0;
+  const auto [end, ec] = FromChars(t, &value);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::OutOfRange("integer overflow: " + std::string(t));
+  }
+  if (ec != std::errc() || end != t.data() + t.size()) {
+    return Status::DataLoss("invalid integer: '" + std::string(t) + "'");
   }
   return value;
 }
 
 Result<double> ParseDouble(std::string_view text) {
-  std::string t(Trim(text));
+  const std::string_view t = Trim(text);
   if (t.empty()) return Status::DataLoss("empty numeric field");
-  errno = 0;
-  char* end = nullptr;
-  double value = std::strtod(t.c_str(), &end);
-  if (errno == ERANGE) return Status::OutOfRange("double overflow: " + t);
-  if (end != t.c_str() + t.size()) {
-    return Status::DataLoss("invalid number: '" + t + "'");
+  double value = 0.0;
+  const auto [end, ec] = FromChars(t, &value);
+  // Too large, or too small to be a normal double: from_chars accepts a
+  // subnormal, strtod flagged it ERANGE, and the reader keeps the latter.
+  if (ec == std::errc::result_out_of_range ||
+      (ec == std::errc() && std::fpclassify(value) == FP_SUBNORMAL)) {
+    return Status::OutOfRange("double overflow: " + std::string(t));
+  }
+  if (ec != std::errc() || end != t.data() + t.size()) {
+    return Status::DataLoss("invalid number: '" + std::string(t) + "'");
   }
   return value;
 }

@@ -1,106 +1,93 @@
 #include "data/csv.h"
 
-#include <fstream>
-#include <sstream>
-
 namespace bikegraph::data {
 
-int CsvTable::ColumnIndex(const std::string& name) const {
-  for (size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-namespace {
-
-// Parses the whole document in one pass, honouring quoted fields that may
-// contain commas, newlines, and doubled quotes.
-Result<std::vector<std::vector<std::string>>> ParseRows(
-    const std::string& text) {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;
-  size_t i = 0;
-  const size_t n = text.size();
-  auto end_field = [&]() {
-    row.push_back(std::move(field));
-    field.clear();
-    field_started = false;
-  };
-  auto end_row = [&]() {
-    end_field();
-    // Skip rows that are entirely empty (e.g. trailing newline).
-    if (!(row.size() == 1 && row[0].empty())) {
-      rows.push_back(std::move(row));
+bool CsvRowReader::NextRow(std::vector<std::string_view>* fields) {
+  const size_t n = text_.size();
+  while (pos_ < n) {
+    fields->clear();
+    while (true) {
+      const size_t index = fields->size();
+      fields->push_back(ReadField(index));
+      if (!status_.ok()) return false;
+      const bool comma = pos_ < n && text_[pos_] == ',';
+      if (pos_ < n) ++pos_;  // past the comma or the newline
+      if (!comma) break;
     }
-    row.clear();
-  };
-  while (i < n) {
-    char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < n && text[i + 1] == '"') {
-          field.push_back('"');
-          i += 2;
-          continue;
-        }
-        in_quotes = false;
-        ++i;
-        continue;
-      }
-      field.push_back(c);
-      ++i;
-      continue;
-    }
-    switch (c) {
-      case '"':
-        if (!field_started && field.empty()) {
-          in_quotes = true;
-          field_started = true;
-        } else {
-          field.push_back(c);  // quote mid-field: keep verbatim
-        }
-        ++i;
-        break;
-      case ',':
-        end_field();
-        ++i;
-        break;
-      case '\r':
-        ++i;  // tolerate CRLF
-        break;
-      case '\n':
-        end_row();
-        ++i;
-        break;
-      default:
-        field.push_back(c);
-        field_started = true;
-        ++i;
-        break;
-    }
-  }
-  if (in_quotes) {
-    return Status::DataLoss("unterminated quoted field at end of input");
-  }
-  if (field_started || !field.empty() || !row.empty()) {
-    end_row();
-  }
-  return rows;
-}
-
-bool NeedsQuoting(const std::string& s) {
-  for (char c : s) {
-    if (c == ',' || c == '"' || c == '\n' || c == '\r') return true;
+    // Skip rows that are entirely empty (e.g. a blank line).
+    if (fields->size() != 1 || !fields->front().empty()) return true;
   }
   return false;
 }
 
-void AppendField(std::string* out, const std::string& field) {
-  if (!NeedsQuoting(field)) {
+std::string_view CsvRowReader::ReadField(size_t index) {
+  const size_t n = text_.size();
+  const size_t start = pos_;
+  if (start < n && text_[start] == '"') {
+    // A view of the quoted text when it holds no doubled quote and nothing
+    // but CRs stands between the closing quote and the terminator.
+    const size_t close = text_.find('"', start + 1);
+    if (close != std::string_view::npos &&
+        (close + 1 == n || text_[close + 1] != '"')) {
+      size_t end = close + 1;
+      while (end < n && text_[end] == '\r') ++end;
+      if (end == n || text_[end] == ',' || text_[end] == '\n') {
+        pos_ = end;
+        return text_.substr(start + 1, close - start - 1);
+      }
+    }
+  } else {
+    size_t end = start;
+    while (end < n && text_[end] != ',' && text_[end] != '\n' &&
+           text_[end] != '\r') {
+      ++end;
+    }
+    if (end == n || text_[end] != '\r') {
+      pos_ = end;
+      return text_.substr(start, end - start);
+    }
+  }
+  return CopyField(index);
+}
+
+std::string_view CsvRowReader::CopyField(size_t index) {
+  while (scratch_.size() <= index) scratch_.emplace_back();
+  std::string& field = scratch_[index];
+  field.clear();
+  const size_t n = text_.size();
+  bool in_quotes = false;
+  bool started = false;  // a byte or an opening quote has been read
+  size_t i = pos_;
+  for (; i < n; ++i) {
+    const char c = text_[i];
+    if (in_quotes) {
+      if (c != '"') {
+        field.push_back(c);
+      } else if (i + 1 < n && text_[i + 1] == '"') {
+        field.push_back('"');  // a doubled quote stands for one
+        ++i;
+      } else {
+        in_quotes = false;
+      }
+    } else if (c == ',' || c == '\n') {
+      break;
+    } else if (c == '"' && !started) {
+      in_quotes = true;
+      started = true;
+    } else if (c != '\r') {
+      field.push_back(c);  // a quote mid-field is kept verbatim
+      started = true;
+    }
+  }
+  pos_ = i;
+  if (in_quotes) {
+    status_ = Status::DataLoss("unterminated quoted field at end of input");
+  }
+  return field;
+}
+
+void AppendCsvField(std::string* out, std::string_view field) {
+  if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
     out->append(field);
     return;
   }
@@ -110,71 +97,6 @@ void AppendField(std::string* out, const std::string& field) {
     out->push_back(c);
   }
   out->push_back('"');
-}
-
-}  // namespace
-
-Result<CsvTable> CsvReader::ParseString(const std::string& text) {
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto rows, ParseRows(text));
-  if (rows.empty()) return Status::DataLoss("empty CSV document");
-  CsvTable table;
-  table.header = std::move(rows.front());
-  for (size_t r = 1; r < rows.size(); ++r) {
-    if (rows[r].size() != table.header.size()) {
-      return Status::DataLoss("row " + std::to_string(r) + " has " +
-                              std::to_string(rows[r].size()) +
-                              " fields, header has " +
-                              std::to_string(table.header.size()));
-    }
-    table.rows.push_back(std::move(rows[r]));
-  }
-  return table;
-}
-
-Result<CsvTable> CsvReader::ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseString(buffer.str());
-}
-
-CsvWriter::CsvWriter(std::vector<std::string> header)
-    : header_(std::move(header)) {}
-
-Status CsvWriter::AddRow(std::vector<std::string> row) {
-  if (row.size() != header_.size()) {
-    return Status::InvalidArgument(
-        "row width " + std::to_string(row.size()) + " != header width " +
-        std::to_string(header_.size()));
-  }
-  rows_.push_back(std::move(row));
-  return Status::OK();
-}
-
-std::string CsvWriter::ToString() const {
-  std::string out;
-  for (size_t i = 0; i < header_.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    AppendField(&out, header_[i]);
-  }
-  out.push_back('\n');
-  for (const auto& row : rows_) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      AppendField(&out, row[i]);
-    }
-    out.push_back('\n');
-  }
-  return out;
-}
-
-Status CsvWriter::WriteToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  out << ToString();
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
 }
 
 }  // namespace bikegraph::data

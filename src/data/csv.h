@@ -1,58 +1,54 @@
 #pragma once
 
+#include <deque>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "core/result.h"
 #include "core/status.h"
 
 namespace bikegraph::data {
 
-/// \brief A parsed CSV table: a header row plus data rows of equal width.
-struct CsvTable {
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
-
-  /// Index of a header column, or -1 when absent.
-  int ColumnIndex(const std::string& name) const;
-};
-
-/// \brief RFC-4180-style CSV parsing (quoted fields, embedded commas,
-/// doubled quotes, CRLF tolerance).
+/// \brief One-pass RFC-4180-style CSV reader over an in-memory document:
+/// quoted fields with embedded commas, newlines and doubled quotes; a CR
+/// outside quotes is dropped, so CRLF files read like LF ones; rows that are
+/// entirely empty are skipped.
 ///
 /// The Moby data arrives as two SQL-exported tables (Rental, Location);
-/// this reader is the ingestion path for them and for any user-supplied
-/// dataset in the same schema.
-class CsvReader {
+/// `Dataset` reads them, and any user-supplied dataset in the same schema,
+/// through this reader. Fields come back as views into the document. Only
+/// a field the reader has to rewrite (a doubled quote, a CR, text after a
+/// closing quote) is copied, into storage the reader owns; either kind of
+/// view stays valid until the next `NextRow` call.
+class CsvRowReader {
  public:
-  /// Parses an in-memory CSV document. The first row is the header.
-  /// Rows whose field count differs from the header are a kDataLoss error.
-  [[nodiscard]] static Result<CsvTable> ParseString(const std::string& text);
+  explicit CsvRowReader(std::string_view text) : text_(text) {}
 
-  /// Reads and parses a CSV file.
-  [[nodiscard]] static Result<CsvTable> ReadFile(const std::string& path);
-};
+  /// Reads the next non-empty row into `fields`. Returns false at the end
+  /// of the document, and also on a quoted field left open at the end of
+  /// the input; `status()` is then kDataLoss.
+  bool NextRow(std::vector<std::string_view>* fields);
 
-/// \brief CSV writer with minimal quoting (fields containing a comma,
-/// quote, or newline are quoted).
-class CsvWriter {
- public:
-  explicit CsvWriter(std::vector<std::string> header);
-
-  /// Appends one row; must match the header width.
-  [[nodiscard]] Status AddRow(std::vector<std::string> row);
-
-  /// Serialises header + rows.
-  std::string ToString() const;
-
-  /// Writes to a file.
-  [[nodiscard]] Status WriteToFile(const std::string& path) const;
-
-  size_t row_count() const { return rows_.size(); }
+  const Status& status() const { return status_; }
 
  private:
-  std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
+  /// Reads the field at `pos_` and leaves `pos_` on its terminator (a
+  /// comma, a newline or the end of the input).
+  std::string_view ReadField(size_t index);
+  /// The general case of ReadField: the quoting rules applied byte by byte,
+  /// copying the field into `scratch_[index]`.
+  std::string_view CopyField(size_t index);
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  Status status_;
+  /// One buffer per field position; a deque so that growing it leaves the
+  /// earlier buffers, and the views into them, in place.
+  std::deque<std::string> scratch_;
 };
+
+/// \brief Appends `field` to `out` in CSV form: verbatim, or quoted (with
+/// doubled inner quotes) when it holds a comma, a quote, a CR or a newline.
+void AppendCsvField(std::string* out, std::string_view field);
 
 }  // namespace bikegraph::data

@@ -1,8 +1,13 @@
 #include "data/dataset.h"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
 
 #include "core/string_util.h"
 #include "data/csv.h"
@@ -75,33 +80,68 @@ Status Dataset::Validate() const {
   return Status::OK();
 }
 
+namespace {
+
+void AppendInt(std::string* out, int64_t value) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+// An empty field for a missing coordinate, else printf's "%.6f" text.
+void AppendCoordinate(std::string* out, double value) {
+  if (std::isnan(value)) return;
+  // Wide enough for the fixed-point text of any finite double.
+  char buf[std::numeric_limits<double>::max_exponent10 + 32];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::fixed, 6)
+                       .ptr);
+}
+
+// An empty field for a missing id.
+void AppendId(std::string* out, int64_t id) {
+  if (id != kInvalidId) AppendInt(out, id);
+}
+
+}  // namespace
+
 std::string Dataset::LocationsCsvString() const {
-  CsvWriter w({"id", "lat", "lon", "is_station", "name"});
+  std::string out = "id,lat,lon,is_station,name\n";
+  size_t names = 0;
+  for (const auto& loc : locations_) names += loc.name.size();
+  out.reserve(out.size() + 40 * locations_.size() + names);
   for (const auto& loc : locations_) {
-    std::string lat = std::isnan(loc.position.lat)
-                          ? ""
-                          : FormatDouble(loc.position.lat, 6);
-    std::string lon = std::isnan(loc.position.lon)
-                          ? ""
-                          : FormatDouble(loc.position.lon, 6);
-    (void)w.AddRow({std::to_string(loc.id), lat, lon,
-                    loc.is_station ? "1" : "0", loc.name});
+    AppendInt(&out, loc.id);
+    out.push_back(',');
+    AppendCoordinate(&out, loc.position.lat);
+    out.push_back(',');
+    AppendCoordinate(&out, loc.position.lon);
+    out.append(loc.is_station ? ",1," : ",0,");
+    AppendCsvField(&out, loc.name);
+    out.push_back('\n');
   }
-  return w.ToString();
+  return out;
 }
 
 std::string Dataset::RentalsCsvString() const {
-  CsvWriter w({"id", "bike_id", "start_time", "end_time",
-               "rental_location_id", "return_location_id"});
+  std::string out =
+      "id,bike_id,start_time,end_time,rental_location_id,"
+      "return_location_id\n";
+  out.reserve(out.size() + 64 * rentals_.size());
   for (const auto& r : rentals_) {
-    auto fk = [](int64_t id) {
-      return id == kInvalidId ? std::string() : std::to_string(id);
-    };
-    (void)w.AddRow({std::to_string(r.id), std::to_string(r.bike_id),
-                    r.start_time.ToString(), r.end_time.ToString(),
-                    fk(r.rental_location_id), fk(r.return_location_id)});
+    AppendInt(&out, r.id);
+    out.push_back(',');
+    AppendInt(&out, r.bike_id);
+    out.push_back(',');
+    r.start_time.AppendTo(&out);
+    out.push_back(',');
+    r.end_time.AppendTo(&out);
+    out.push_back(',');
+    AppendId(&out, r.rental_location_id);
+    out.push_back(',');
+    AppendId(&out, r.return_location_id);
+    out.push_back('\n');
   }
-  return w.ToString();
+  return out;
 }
 
 Status Dataset::WriteCsv(const std::string& locations_path,
@@ -119,85 +159,127 @@ Status Dataset::WriteCsv(const std::string& locations_path,
 
 namespace {
 
-Result<std::vector<LocationRecord>> ParseLocations(const CsvTable& table) {
-  const int id_col = table.ColumnIndex("id");
-  const int lat_col = table.ColumnIndex("lat");
-  const int lon_col = table.ColumnIndex("lon");
-  const int station_col = table.ColumnIndex("is_station");
-  const int name_col = table.ColumnIndex("name");
-  if (id_col < 0 || lat_col < 0 || lon_col < 0 || station_col < 0 ||
-      name_col < 0) {
-    return Status::DataLoss("locations CSV missing a required column");
+/// How reading one table went. The reader used to tokenise both documents
+/// before it converted a single field, so a structural fault (an open
+/// quote, a row of the wrong width, an empty document) in either table was
+/// reported before any content fault (a missing column, a malformed value).
+/// Keeping the two apart keeps that order, and so the error a caller sees.
+struct TableStatus {
+  Status structure;
+  Status content;
+};
+
+/// Reads one CSV table in a single pass. The header row fixes the table's
+/// width, and each of `names` must be one of its columns (the first of that
+/// name); `convert(row, cols)` then turns a data row into a record, with
+/// cols[i] the position of names[i]. After the first content fault, and
+/// throughout when `convert_rows` is false, rows are only tokenised and
+/// width-checked.
+template <size_t N, typename Convert>
+TableStatus ReadTable(std::string_view text, const char* table,
+                      const std::array<std::string_view, N>& names,
+                      bool convert_rows, Convert convert) {
+  TableStatus st;
+  CsvRowReader reader(text);
+  std::vector<std::string_view> fields;
+  if (!reader.NextRow(&fields)) {
+    st.structure = reader.status().ok()
+                       ? Status::DataLoss("empty CSV document")
+                       : reader.status();
+    return st;
   }
-  std::vector<LocationRecord> out;
-  out.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    LocationRecord loc;
-    BIKEGRAPH_ASSIGN_OR_RETURN(loc.id, ParseInt(row[AsIndex(id_col)]));
-    if (!row[AsIndex(lat_col)].empty() && !row[AsIndex(lon_col)].empty()) {
-      BIKEGRAPH_ASSIGN_OR_RETURN(loc.position.lat, ParseDouble(row[AsIndex(lat_col)]));
-      BIKEGRAPH_ASSIGN_OR_RETURN(loc.position.lon, ParseDouble(row[AsIndex(lon_col)]));
+  const size_t width = fields.size();
+  std::array<size_t, N> cols{};
+  for (size_t c = 0; convert_rows && c < N; ++c) {
+    const auto it = std::find(fields.begin(), fields.end(), names[c]);
+    if (it == fields.end()) {
+      st.content = Status::DataLoss(std::string(table) +
+                                    " CSV missing a required column");
+      break;
     }
-    loc.is_station = row[AsIndex(station_col)] == "1";
-    loc.name = row[AsIndex(name_col)];
-    out.push_back(std::move(loc));
+    cols[c] = static_cast<size_t>(it - fields.begin());
   }
-  return out;
+  for (size_t row = 1; reader.NextRow(&fields); ++row) {
+    if (fields.size() != width) {
+      st.structure = Status::DataLoss(
+          "row " + std::to_string(row) + " has " +
+          std::to_string(fields.size()) + " fields, header has " +
+          std::to_string(width));
+      return st;
+    }
+    if (convert_rows && st.content.ok()) st.content = convert(fields, cols);
+  }
+  st.structure = reader.status();
+  return st;
 }
 
-Result<std::vector<RentalRecord>> ParseRentals(const CsvTable& table) {
-  const int id_col = table.ColumnIndex("id");
-  const int bike_col = table.ColumnIndex("bike_id");
-  const int start_col = table.ColumnIndex("start_time");
-  const int end_col = table.ColumnIndex("end_time");
-  const int rent_col = table.ColumnIndex("rental_location_id");
-  const int ret_col = table.ColumnIndex("return_location_id");
-  if (id_col < 0 || bike_col < 0 || start_col < 0 || end_col < 0 ||
-      rent_col < 0 || ret_col < 0) {
-    return Status::DataLoss("rentals CSV missing a required column");
-  }
-  std::vector<RentalRecord> out;
-  out.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    RentalRecord r;
-    BIKEGRAPH_ASSIGN_OR_RETURN(r.id, ParseInt(row[AsIndex(id_col)]));
-    BIKEGRAPH_ASSIGN_OR_RETURN(r.bike_id, ParseInt(row[AsIndex(bike_col)]));
-    BIKEGRAPH_ASSIGN_OR_RETURN(r.start_time, CivilTime::Parse(row[AsIndex(start_col)]));
-    BIKEGRAPH_ASSIGN_OR_RETURN(r.end_time, CivilTime::Parse(row[AsIndex(end_col)]));
-    if (!row[AsIndex(rent_col)].empty()) {
-      BIKEGRAPH_ASSIGN_OR_RETURN(r.rental_location_id,
-                                 ParseInt(row[AsIndex(rent_col)]));
-    }
-    if (!row[AsIndex(ret_col)].empty()) {
-      BIKEGRAPH_ASSIGN_OR_RETURN(r.return_location_id, ParseInt(row[AsIndex(ret_col)]));
-    }
-    out.push_back(std::move(r));
-  }
-  return out;
+constexpr std::array<std::string_view, 5> kLocationColumns = {
+    "id", "lat", "lon", "is_station", "name"};
+constexpr std::array<std::string_view, 6> kRentalColumns = {
+    "id",       "bike_id",           "start_time",
+    "end_time", "rental_location_id", "return_location_id"};
+
+/// An empty field is a missing id and leaves `*id` at kInvalidId.
+Status ParseOptionalId(std::string_view field, int64_t* id) {
+  if (field.empty()) return Status::OK();
+  BIKEGRAPH_ASSIGN_OR_RETURN(*id, ParseInt(field));
+  return Status::OK();
 }
 
 }  // namespace
 
-Result<Dataset> Dataset::FromCsvStrings(const std::string& locations_csv,
-                                        const std::string& rentals_csv) {
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto loc_table,
-                             CsvReader::ParseString(locations_csv));
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto rent_table,
-                             CsvReader::ParseString(rentals_csv));
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto locations, ParseLocations(loc_table));
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto rentals, ParseRentals(rent_table));
+Result<Dataset> Dataset::FromCsvStrings(std::string_view locations_csv,
+                                        std::string_view rentals_csv) {
+  using Row = std::vector<std::string_view>;
+  std::vector<LocationRecord> locations;
+  const TableStatus loc_status = ReadTable(
+      locations_csv, "locations", kLocationColumns, true,
+      [&](const Row& f, const std::array<size_t, 5>& cols) -> Status {
+        const auto [id, lat, lon, station, name] = cols;
+        LocationRecord& loc = locations.emplace_back();
+        BIKEGRAPH_ASSIGN_OR_RETURN(loc.id, ParseInt(f[id]));
+        if (!f[lat].empty() && !f[lon].empty()) {
+          BIKEGRAPH_ASSIGN_OR_RETURN(loc.position.lat, ParseDouble(f[lat]));
+          BIKEGRAPH_ASSIGN_OR_RETURN(loc.position.lon, ParseDouble(f[lon]));
+        }
+        loc.is_station = f[station] == "1";
+        loc.name = f[name];
+        return Status::OK();
+      });
+  BIKEGRAPH_RETURN_NOT_OK(loc_status.structure);
+
+  std::vector<RentalRecord> rentals;
+  const TableStatus rent_status = ReadTable(
+      rentals_csv, "rentals", kRentalColumns, loc_status.content.ok(),
+      [&](const Row& f, const std::array<size_t, 6>& cols) -> Status {
+        const auto [id, bike, start, end, rent, ret] = cols;
+        RentalRecord& r = rentals.emplace_back();
+        BIKEGRAPH_ASSIGN_OR_RETURN(r.id, ParseInt(f[id]));
+        BIKEGRAPH_ASSIGN_OR_RETURN(r.bike_id, ParseInt(f[bike]));
+        BIKEGRAPH_ASSIGN_OR_RETURN(r.start_time, CivilTime::Parse(f[start]));
+        BIKEGRAPH_ASSIGN_OR_RETURN(r.end_time, CivilTime::Parse(f[end]));
+        BIKEGRAPH_RETURN_NOT_OK(ParseOptionalId(f[rent], &r.rental_location_id));
+        return ParseOptionalId(f[ret], &r.return_location_id);
+      });
+  // Structural faults first, in either table; then content faults.
+  BIKEGRAPH_RETURN_NOT_OK(rent_status.structure);
+  BIKEGRAPH_RETURN_NOT_OK(loc_status.content);
+  BIKEGRAPH_RETURN_NOT_OK(rent_status.content);
   return Dataset(std::move(locations), std::move(rentals));
 }
 
 Result<Dataset> Dataset::ReadCsv(const std::string& locations_path,
                                  const std::string& rentals_path) {
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto loc_table,
-                             CsvReader::ReadFile(locations_path));
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto rent_table,
-                             CsvReader::ReadFile(rentals_path));
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto locations, ParseLocations(loc_table));
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto rentals, ParseRentals(rent_table));
-  return Dataset(std::move(locations), std::move(rentals));
+  auto read = [](const std::string& path) -> Result<std::string> {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return Status::IOError("cannot open: " + path);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return std::move(buffer).str();
+  };
+  BIKEGRAPH_ASSIGN_OR_RETURN(const std::string locations, read(locations_path));
+  BIKEGRAPH_ASSIGN_OR_RETURN(const std::string rentals, read(rentals_path));
+  return FromCsvStrings(locations, rentals);
 }
 
 }  // namespace bikegraph::data

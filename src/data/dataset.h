@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -61,8 +62,8 @@ class Dataset {
   /// Serialise/parse without touching the filesystem (used in tests).
   std::string LocationsCsvString() const;
   std::string RentalsCsvString() const;
-  static Result<Dataset> FromCsvStrings(const std::string& locations_csv,
-                                        const std::string& rentals_csv);
+  static Result<Dataset> FromCsvStrings(std::string_view locations_csv,
+                                        std::string_view rentals_csv);
 
  private:
   std::vector<LocationRecord> locations_;

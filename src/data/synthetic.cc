@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "core/civil_time.h"
 #include "geo/grid_index.h"
@@ -142,11 +143,45 @@ struct GenState {
   double micro_alpha_unit = 0.0;  // level-1 alpha per unit of hotspot weight
   int64_t next_location_id = 1;
 
-  // Precomputed per-hotspot pairwise gravity weights for destination choice.
-  std::vector<std::vector<double>> dest_weights;
+  // Draw tables, built once. The distributions below never change during
+  // a run, so each is a cumulative table (CumulativeWeights) drawn with
+  // Rng::NextFromCumulative: the same index NextWeighted would pick from
+  // the weights, found by binary search.
+  std::vector<double> hotspot_cdf;  // origin hotspot, by attraction weight
+  // 0.05 + HourProfile(kind, weekend)[hour]; see HourAffinity.
+  std::array<std::array<std::array<double, 24>, 2>, 3> hour_affinity{};
+  // Cumulative HourProfile(kind, weekend): the start-hour draw.
+  std::array<std::array<std::vector<double>, 2>, 3> hour_cdf;
+  // Destination hotspot per (origin hotspot, day of week, hour), flat:
+  // table (oh * 7 + dow) * 24 + hour spans [table * n, table * n + n).
+  std::vector<double> dest_cdf;
 
   Rng rng{0};
 };
+
+/// Sets up what station placement needs: the map, the seeded generator and
+/// the hour tables.
+GenState NewGenState(const SyntheticConfig& config) {
+  GenState state;
+  state.config = config;
+  state.land = geo::DublinLand();
+  state.hotspots = geo::DublinHotspots();
+  state.rng = Rng(config.seed);
+  std::vector<double> weights;
+  for (const auto& h : state.hotspots) weights.push_back(h.weight);
+  state.hotspot_cdf = CumulativeWeights(weights);
+  for (int k = 0; k < 3; ++k) {
+    for (int weekend = 0; weekend < 2; ++weekend) {
+      const auto profile =
+          HourProfile(static_cast<Hotspot::Kind>(k), weekend != 0);
+      for (size_t h = 0; h < 24; ++h) {
+        state.hour_affinity[AsIndex(k)][AsIndex(weekend)][h] = 0.05 + profile[h];
+      }
+      state.hour_cdf[AsIndex(k)][AsIndex(weekend)] = CumulativeWeights(profile);
+    }
+  }
+  return state;
+}
 
 /// Draws an endpoint kind: inherit the hotspot's kind with probability
 /// `fidelity`, otherwise uniform over the three kinds.
@@ -172,15 +207,11 @@ int64_t NewLocation(GenState* state, const LatLon& pos, bool is_station,
 
 void PlaceStations(GenState* state) {
   const auto& cfg = state->config;
-  std::vector<double> weights;
-  weights.reserve(state->hotspots.size());
-  for (const auto& h : state->hotspots) weights.push_back(h.weight);
-
   geo::GridIndex placed(cfg.station_min_separation_m);
   int made = 0;
   int guard = 0;
   while (made < cfg.station_count && guard++ < 100000) {
-    int h = static_cast<int>(state->rng.NextWeighted(weights));
+    int h = static_cast<int>(state->rng.NextFromCumulative(state->hotspot_cdf));
     const Hotspot& hot = state->hotspots[AsIndex(h)];
     LatLon p = SamplePointNear(hot.center, hot.spread_m * 1.1, state->land,
                                &state->rng);
@@ -213,9 +244,11 @@ struct Endpoint {
 /// steer trips towards endpoints that are "open" at the trip's start time
 /// (a commute niche absorbs rush-hour arrivals, a park absorbs midday
 /// ones). `hour < 0` disables the modulation.
-double HourAffinity(Hotspot::Kind kind, bool weekend, int hour) {
+double HourAffinity(const GenState& state, Hotspot::Kind kind, bool weekend,
+                    int hour) {
   if (hour < 0) return 1.0;
-  return 0.05 + HourProfile(kind, weekend)[AsIndex(hour)];
+  return state.hour_affinity[AsIndex(static_cast<int>(kind))]
+                            [weekend ? 1 : 0][AsIndex(hour)];
 }
 
 /// Chooses (or creates) the dockless location for an endpoint near
@@ -235,14 +268,14 @@ Endpoint SampleDocklessLocation(GenState* state, int h, int hour = -1,
   double total_mass = micro_alpha;
   for (size_t mid : pool) {
     total_mass += state->micros[mid].popularity *
-                  HourAffinity(state->micros[mid].kind, weekend, hour);
+                  HourAffinity(*state, state->micros[mid].kind, weekend, hour);
   }
   double pick = rng.NextDouble() * total_mass;
   size_t micro_id = SIZE_MAX;
   double acc = 0.0;
   for (size_t mid : pool) {
     acc += state->micros[mid].popularity *
-           HourAffinity(state->micros[mid].kind, weekend, hour);
+           HourAffinity(*state, state->micros[mid].kind, weekend, hour);
     if (pick < acc) {
       micro_id = mid;
       break;
@@ -312,25 +345,6 @@ bool CrossesRiver(const LatLon& a, const LatLon& b) {
   return lon >= -6.31 && lon <= -6.10;  // river + estuary span
 }
 
-void PrecomputeDestinationWeights(GenState* state) {
-  const size_t n = state->hotspots.size();
-  state->dest_weights.assign(n, std::vector<double>(n, 0.0));
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      const LatLon& pi = state->hotspots[i].center;
-      const LatLon& pj = state->hotspots[j].center;
-      double d = geo::HaversineMeters(pi, pj);
-      double gravity = std::exp(-d / state->config.trip_distance_scale_m);
-      // Self-trips (loops within a hotspot) are common in BSS data.
-      if (i == j) gravity = state->config.self_gravity;
-      if (CrossesRiver(pi, pj)) {
-        gravity *= state->config.river_crossing_factor;
-      }
-      state->dest_weights[i][j] = state->hotspots[j].weight * gravity;
-    }
-  }
-}
-
 /// Per-day sampling weights across the study window.
 std::vector<double> BuildDayWeights(CivilTime start, int n_days) {
   std::vector<double> w(AsIndex(n_days));
@@ -341,20 +355,48 @@ std::vector<double> BuildDayWeights(CivilTime start, int n_days) {
   return w;
 }
 
-int SampleHour(GenState* state, Hotspot::Kind kind, bool weekend) {
-  auto profile = HourProfile(kind, weekend);
-  std::vector<double> w(profile.begin(), profile.end());
-  return static_cast<int>(state->rng.NextWeighted(w));
+/// Fills `state->dest_cdf`. The weight of destination hotspot j is
+/// gravity(origin, j) x j's weekly profile x j's hourly activity, so
+/// rush-hour trips flow towards commute niches and midday trips towards
+/// leisure ones. The factors are multiplied in that order.
+void BuildDestinationTables(GenState* state) {
+  const size_t n = state->hotspots.size();
+  std::vector<std::vector<double>> gravity(n, std::vector<double>(n));
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      const LatLon& pi = state->hotspots[i].center;
+      const LatLon& pj = state->hotspots[j].center;
+      double d = geo::HaversineMeters(pi, pj);
+      double g = std::exp(-d / state->config.trip_distance_scale_m);
+      // Self-trips (loops within a hotspot) are common in BSS data.
+      if (i == j) g = state->config.self_gravity;
+      if (CrossesRiver(pi, pj)) g *= state->config.river_crossing_factor;
+      gravity[i][j] = state->hotspots[j].weight * g;
+    }
+  }
+  state->dest_cdf.clear();
+  state->dest_cdf.reserve(n * 7 * 24 * n);
+  std::vector<double> w(n);
+  for (size_t oh = 0; oh < n; ++oh) {
+    for (int dow = 0; dow < 7; ++dow) {
+      const bool weekend = IsWeekend(static_cast<Weekday>(dow));
+      for (int hour = 0; hour < 24; ++hour) {
+        for (size_t h = 0; h < n; ++h) {
+          const Hotspot::Kind kind = state->hotspots[h].kind;
+          w[h] = gravity[oh][h] * DayProfile(kind)[AsIndex(dow)] *
+                 HourAffinity(*state, kind, weekend, hour);
+        }
+        const std::vector<double> cdf = CumulativeWeights(w);
+        state->dest_cdf.insert(state->dest_cdf.end(), cdf.begin(), cdf.end());
+      }
+    }
+  }
 }
 
 }  // namespace
 
 std::vector<geo::LatLon> GenerateStationSites(const SyntheticConfig& config) {
-  GenState state;
-  state.config = config;
-  state.land = geo::DublinLand();
-  state.hotspots = geo::DublinHotspots();
-  state.rng = Rng(config.seed);
+  GenState state = NewGenState(config);
   PlaceStations(&state);
   return state.station_sites;
 }
@@ -363,11 +405,7 @@ Result<Dataset> GenerateSyntheticMoby(const SyntheticConfig& config) {
   if (config.station_count <= 0 || config.clean_rental_count == 0) {
     return Status::InvalidArgument("station_count and clean_rental_count must be positive");
   }
-  GenState state;
-  state.config = config;
-  state.land = geo::DublinLand();
-  state.hotspots = geo::DublinHotspots();
-  state.rng = Rng(config.seed);
+  GenState state = NewGenState(config);
   state.hotspot_micros.assign(state.hotspots.size(), {});
   double total_hotspot_weight = 0.0;
   for (const auto& h : state.hotspots) {
@@ -376,7 +414,7 @@ Result<Dataset> GenerateSyntheticMoby(const SyntheticConfig& config) {
   state.micro_alpha_unit = config.micro_concentration / total_hotspot_weight;
 
   PlaceStations(&state);
-  PrecomputeDestinationWeights(&state);
+  BuildDestinationTables(&state);
 
   BIKEGRAPH_ASSIGN_OR_RETURN(
       CivilTime window_start,
@@ -392,10 +430,8 @@ Result<Dataset> GenerateSyntheticMoby(const SyntheticConfig& config) {
   if (n_days <= 0) {
     return Status::InvalidArgument("study window is empty");
   }
-  std::vector<double> day_weights = BuildDayWeights(window_start, n_days);
-
-  std::vector<double> hotspot_weights;
-  for (const auto& h : state.hotspots) hotspot_weights.push_back(h.weight);
+  const std::vector<double> day_weights =
+      BuildDayWeights(window_start, n_days);
 
   std::vector<RentalRecord> rentals;
   rentals.reserve(config.clean_rental_count);
@@ -422,7 +458,8 @@ Result<Dataset> GenerateSyntheticMoby(const SyntheticConfig& config) {
       w.reserve(owned.size());
       for (int idx : owned) {
         w.push_back(station_popularity[AsIndex(idx)] *
-                    HourAffinity(state.station_kind[AsIndex(idx)], weekend, hour));
+                    HourAffinity(state, state.station_kind[AsIndex(idx)],
+                                 weekend, hour));
       }
       s = owned[state.rng.NextWeighted(w)];
     } else {
@@ -435,23 +472,27 @@ Result<Dataset> GenerateSyntheticMoby(const SyntheticConfig& config) {
   // profile. The trip's calendar day is drawn from its *origin endpoint's*
   // kind, which is what stamps individual stations with commute-like or
   // leisure-like weekly signatures.
-  std::array<std::vector<double>, 3> kind_day_weights;
+  std::array<std::vector<double>, 3> kind_day_cdf;
+  std::vector<double> kind_day_weights(AsIndex(n_days));
   for (int k = 0; k < 3; ++k) {
     auto profile = DayProfile(static_cast<Hotspot::Kind>(k));
-    kind_day_weights[AsIndex(k)].resize(AsIndex(n_days));
     for (int i = 0; i < n_days; ++i) {
       const int dow =
           static_cast<int>(window_start.AddDays(i).weekday());
-      kind_day_weights[AsIndex(k)][AsIndex(i)] = day_weights[AsIndex(i)] * profile[AsIndex(dow)];
+      kind_day_weights[AsIndex(i)] = day_weights[AsIndex(i)] * profile[AsIndex(dow)];
     }
+    kind_day_cdf[AsIndex(k)] = CumulativeWeights(kind_day_weights);
   }
+  const std::vector<double> day_cdf = CumulativeWeights(day_weights);
+  const size_t n_hotspots = state.hotspots.size();
 
   int64_t rental_id = 1;
   for (size_t t = 0; t < config.clean_rental_count; ++t) {
     // Origin hotspot by static attraction weight, then the origin endpoint
     // (fixed station or dockless niche), whose kind drives the temporal
     // sampling below.
-    const int oh = static_cast<int>(state.rng.NextWeighted(hotspot_weights));
+    const int oh =
+        static_cast<int>(state.rng.NextFromCumulative(state.hotspot_cdf));
     Endpoint origin;
     if (state.rng.NextDouble() < config.station_endpoint_prob) {
       origin = pick_station_near(oh, state.hotspots[AsIndex(oh)].center, /*hour=*/-1,
@@ -464,22 +505,18 @@ Result<Dataset> GenerateSyntheticMoby(const SyntheticConfig& config) {
     // Calendar day and start hour from the origin's kind (seasonal x
     // weekly profile; kind-specific hourly profile).
     const int day_idx = static_cast<int>(
-        state.rng.NextWeighted(kind_day_weights[AsIndex(kind_idx)]));
+        state.rng.NextFromCumulative(kind_day_cdf[AsIndex(kind_idx)]));
     const CivilTime day = window_start.AddDays(day_idx);
     const bool weekend = IsWeekend(day.weekday());
     const int dow = static_cast<int>(day.weekday());
-    const int hour = SampleHour(&state, origin.kind, weekend);
+    const int hour = static_cast<int>(state.rng.NextFromCumulative(
+        state.hour_cdf[AsIndex(kind_idx)][weekend ? 1 : 0]));
 
-    // Destination hotspot: gravity x the destination's weekly profile x its
-    // hourly activity (rush-hour trips flow towards commute niches, midday
-    // trips towards leisure ones).
-    std::vector<double> dest_w(state.hotspots.size());
-    for (size_t h = 0; h < state.hotspots.size(); ++h) {
-      dest_w[h] = state.dest_weights[AsIndex(oh)][h] *
-                  DayProfile(state.hotspots[h].kind)[AsIndex(dow)] *
-                  HourAffinity(state.hotspots[h].kind, weekend, hour);
-    }
-    const int dh = static_cast<int>(state.rng.NextWeighted(dest_w));
+    // Destination hotspot from the (origin, day of week, hour) table.
+    const size_t table = (AsIndex(oh) * 7 + AsIndex(dow)) * 24 + AsIndex(hour);
+    const int dh = static_cast<int>(state.rng.NextFromCumulative(
+        std::span<const double>(state.dest_cdf)
+            .subspan(table * n_hotspots, n_hotspots)));
     Endpoint dest;
     if (state.rng.NextDouble() < config.station_endpoint_prob) {
       dest = pick_station_near(dh, state.hotspots[AsIndex(dh)].center, hour, weekend);
@@ -524,7 +561,7 @@ Result<Dataset> GenerateSyntheticMoby(const SyntheticConfig& config) {
     return rentals[rng.NextBounded(rentals.size())].rental_location_id;
   };
   auto random_time = [&]() {
-    int day_idx = static_cast<int>(rng.NextWeighted(day_weights));
+    int day_idx = static_cast<int>(rng.NextFromCumulative(day_cdf));
     CivilTime day = window_start.AddDays(day_idx);
     return CivilTime(day.seconds_since_epoch() +
                      static_cast<int64_t>(rng.NextBounded(86400)));
@@ -634,7 +671,7 @@ Result<Dataset> GenerateSyntheticMoby(const SyntheticConfig& config) {
   }
   // Rule-6 fodder: locations never referenced by any rental.
   for (int i = 0; i < config.dirty_unreferenced_locations; ++i) {
-    int h = static_cast<int>(rng.NextWeighted(hotspot_weights));
+    int h = static_cast<int>(rng.NextFromCumulative(state.hotspot_cdf));
     LatLon p = SamplePointNear(state.hotspots[AsIndex(h)].center,
                                state.hotspots[AsIndex(h)].spread_m, state.land, &rng);
     NewLocation(&state, p, false, "");

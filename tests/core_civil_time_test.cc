@@ -1,5 +1,9 @@
 #include "core/civil_time.h"
 
+#include <cstdio>
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 namespace bikegraph {
@@ -129,6 +133,86 @@ TEST(CivilTimeTest, IsWeekendHelper) {
 TEST(CivilTimeTest, WeekdayNames) {
   EXPECT_STREQ(WeekdayName(Weekday::kMonday), "Mon");
   EXPECT_STREQ(WeekdayName(Weekday::kSunday), "Sun");
+}
+
+TEST(CivilTimeTest, ParseRejectsTwelveDigitMonth) {
+  // sscanf's %d met this with undefined behaviour; the fixed layout rejects
+  // it before any field is converted.
+  auto t = CivilTime::Parse("2021-000000000009-19 08:00:00");
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(CivilTimeTest, ParseRejectsTrailingBytes) {
+  auto t = CivilTime::Parse("2021-09-19 08:00:00x");
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(CivilTimeTest, ParseRejectsUnpaddedMonth) {
+  auto t = CivilTime::Parse("2021-9-19");
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(CivilTimeTest, ParseRejectsFormsTheScanfParserAccepted) {
+  // Each of these parsed under "%d-%d-%d%c%d:%d:%d" and is now an error.
+  const char* const kLoose[] = {
+      "2021-9-19 08:00:00",     // unpadded month
+      "2021-09-9 08:00:00",     // unpadded day
+      "2021-09-19 8:00:00",     // unpadded hour
+      "2021-09-19T8:0:0",       // unpadded time fields
+      "+2021-09-19",            // a sign on the year
+      "-2021-09-19",            // a negative year
+      "2021-+9-19",             // a sign on the month
+      "12021-09-19",            // a five-digit year
+      " 2021-09-19",            // a leading space
+      "2021- 9-19",             // a space inside the date
+      "2021-09-19  08:00:00",   // two separators
+      "2021-09-19 08:00:00x",   // trailing garbage
+      "2021-09-19 08:00:00 ",   // a trailing space
+  };
+  for (const char* text : kLoose) {
+    auto t = CivilTime::Parse(text);
+    ASSERT_FALSE(t.ok()) << text;
+    EXPECT_EQ(t.status().code(), StatusCode::kDataLoss) << text;
+  }
+}
+
+TEST(CivilTimeTest, ParseRangeErrorsAreInvalidArgument) {
+  for (const char* text : {"2021-13-01", "2021-02-29", "2021-09-19 24:00:00",
+                           "2021-09-19 23:60:00", "2021-09-19 23:59:60"}) {
+    auto t = CivilTime::Parse(text);
+    ASSERT_FALSE(t.ok()) << text;
+    EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
+TEST(CivilTimeTest, ParseReadsAViewWithoutItsTerminator) {
+  const std::string buffer = "2020-06-15 08:30:00,2021-01-01";
+  auto t = CivilTime::Parse(std::string_view(buffer).substr(0, 19));
+  ASSERT_TRUE(t.ok()) << t.status();
+  EXPECT_EQ(t->ToString(), "2020-06-15 08:30:00");
+  auto d = CivilTime::Parse(std::string_view(buffer).substr(20));
+  ASSERT_TRUE(d.ok()) << d.status();
+  EXPECT_EQ(d->ToString(), "2021-01-01 00:00:00");
+}
+
+TEST(CivilTimeTest, ToStringMatchesPrintfForAnyYear) {
+  // "%04d-%02d-%02d %02d:%02d:%02d", the format ToString used to print with.
+  for (int64_t days : {int64_t{-719468 - 400}, int64_t{-719468}, int64_t{-1},
+                       int64_t{0}, int64_t{18262}, int64_t{2932896},
+                       int64_t{2932897 + 366}}) {
+    const CivilTime t(days * 86400 + 3 * 3600 + 4 * 60 + 5);
+    char want[64];
+    std::snprintf(want, sizeof(want), "%04d-%02d-%02d %02d:%02d:%02d",
+                  t.year(), t.month(), t.day(), t.hour(), t.minute(),
+                  t.second());
+    EXPECT_EQ(t.ToString(), want);
+    std::string appended = "x";
+    t.AppendTo(&appended);
+    EXPECT_EQ(appended, std::string("x") + want);
+  }
 }
 
 // Property sweep: DaysFromCivil and CivilFromDays are inverse over a wide

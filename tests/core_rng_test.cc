@@ -132,6 +132,50 @@ TEST(RngTest, WeightedIgnoresNegativeWeights) {
   }
 }
 
+TEST(RngTest, CumulativeDrawMatchesNextWeighted) {
+  // 1000 seeded weight vectors: zeros, negative weights, single elements and
+  // all the mass in the last slot among them. Two identically seeded
+  // generators must pick the same index on every draw, one by a linear
+  // NextWeighted scan and one by NextFromCumulative's binary search.
+  Rng gen(2024);
+  for (int trial = 0; trial < 1000; ++trial) {
+    std::vector<double> w(1 + gen.NextBounded(40));
+    for (double& x : w) {
+      switch (gen.NextBounded(4)) {
+        case 0:
+          x = 0.0;
+          break;
+        case 1:
+          x = -gen.NextUniform(0.0, 5.0);
+          break;
+        default:
+          x = gen.NextExponential(1.0) * std::pow(10.0, gen.NextUniform(-8, 8));
+          break;
+      }
+    }
+    if (trial % 10 == 0) w = {gen.NextUniform(0.1, 3.0)};
+    if (trial % 10 == 1) {
+      for (size_t i = 0; i + 1 < w.size(); ++i) w[i] = i % 2 ? 0.0 : -1.0;
+      w.back() = 2.5;
+    }
+    if (std::none_of(w.begin(), w.end(), [](double x) { return x > 0.0; })) {
+      w.back() = 1.0;
+    }
+    const std::vector<double> cdf = CumulativeWeights(w);
+    ASSERT_EQ(cdf.size(), w.size());
+    Rng linear(static_cast<uint64_t>(trial)), cumulative(static_cast<uint64_t>(trial));
+    for (int draw = 0; draw < 50; ++draw) {
+      ASSERT_EQ(linear.NextWeighted(w), cumulative.NextFromCumulative(cdf))
+          << "trial " << trial << " draw " << draw;
+    }
+  }
+}
+
+TEST(RngTest, CumulativeWeightsClampNonPositive) {
+  EXPECT_EQ(CumulativeWeights(std::vector<double>{1.0, -2.0, 0.0, 3.0}),
+            (std::vector<double>{1.0, 1.0, 1.0, 4.0}));
+}
+
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(41);
   std::vector<int> v(100);

@@ -1,5 +1,9 @@
 #include "core/string_util.h"
 
+#include <cmath>
+#include <cstdint>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 namespace bikegraph {
@@ -76,6 +80,35 @@ TEST(ParseDoubleTest, RejectsInvalid) {
   EXPECT_FALSE(ParseDouble("").ok());
   EXPECT_FALSE(ParseDouble("12.3.4").ok());
   EXPECT_FALSE(ParseDouble("lat").ok());
+}
+
+TEST(ParseIntTest, SignsAndRangeCodes) {
+  EXPECT_EQ(*ParseInt("+42"), 42);
+  EXPECT_EQ(*ParseInt(" -9223372036854775808 "), INT64_MIN);
+  EXPECT_EQ(ParseInt("9223372036854775808").status().code(),
+            StatusCode::kOutOfRange);
+  for (const char* bad : {"+", "-", "+-5", "++5", "- 5", "0x10", "1 2"}) {
+    EXPECT_EQ(ParseInt(bad).status().code(), StatusCode::kDataLoss) << bad;
+  }
+  EXPECT_EQ(ParseInt(std::string_view("12\0", 3)).status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(ParseDoubleTest, SignsAndRangeCodes) {
+  EXPECT_DOUBLE_EQ(*ParseDouble("+53.349"), 53.349);
+  EXPECT_DOUBLE_EQ(*ParseDouble(" -.5 "), -0.5);
+  EXPECT_TRUE(std::isinf(*ParseDouble("inf")));
+  EXPECT_TRUE(std::isnan(*ParseDouble("nan")));
+  // Overflow, underflow to zero and a subnormal result are all out of
+  // range, as strtod's ERANGE made them.
+  for (const char* big : {"1e400", "-1e400", "1e-400", "1e-310"}) {
+    EXPECT_EQ(ParseDouble(big).status().code(), StatusCode::kOutOfRange)
+        << big;
+  }
+  // Hexadecimal was strtod's and is no longer accepted.
+  for (const char* bad : {"+", "+-1", "0x1p3", "1e", "1.5x"}) {
+    EXPECT_EQ(ParseDouble(bad).status().code(), StatusCode::kDataLoss) << bad;
+  }
 }
 
 TEST(FormatTest, FormatDoubleDecimals) {

@@ -33,7 +33,8 @@
 # streaming suites (including stream_reorder_test: the reorder wheel /
 # expiry ring interplay is exactly where lifetime bugs would live),
 # warm-start, grid and cluster suites (the HAC workers' hand-sized
-# buffers) run by default.
+# buffers) and the CSV reader's suites (it parses untrusted bytes through
+# hand-rolled views and number/timestamp parsers) run by default.
 #
 #   tools/ci.sh --sanitize-matrix                   # default subset
 #   tools/ci.sh --sanitize-matrix -R stream         # explicit subset
@@ -213,7 +214,7 @@ if [ "$MATRIX" = 1 ]; then
   else
     # 'reorder' is matched by 'stream' (stream_reorder_test) but is named
     # anyway so the intent survives a test-file rename.
-    MATRIX_ARGS=(-R 'stream|query|reorder|warm_start|grid_index|cluster')
+    MATRIX_ARGS=(-R 'stream|query|reorder|warm_start|grid_index|cluster|data_csv|data_dataset|core_civil_time|core_string_util')
   fi
   for san in address undefined; do
     echo ">>> sanitizer matrix: $san"

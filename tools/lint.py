@@ -31,6 +31,11 @@ Checks
   unseeded-rng          no rand()/srand()/std::random_device outside
                         src/core/rng — all randomness must flow through the
                         seeded deterministic RNG so every run is replayable.
+  scanf-family          no scanf/sscanf/fscanf (or their v* forms) under
+                        src/: %d stores an out-of-range field with
+                        undefined behaviour, and the library reads
+                        untrusted CSV and WAL bytes. Parse with
+                        std::from_chars or a fixed-layout parser.
   float-equality        no ==/!= against floating-point literals (and no
                         EXPECT_EQ/NE on them) outside the locked bit-identity
                         suites; annotate intentional exact compares with
@@ -318,6 +323,27 @@ def check_unseeded_rng(root, files):
     return violations
 
 
+SCANF_CALL = re.compile(r"\b(?:v?[fs]|v)?scanf\s*\(")
+
+
+def check_scanf_family(root, files):
+    violations = []
+    for rel in files:
+        if not rel.startswith("src/"):
+            continue
+        with open(os.path.join(root, rel), encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        for i, line in enumerate(lines):
+            code = strip_comments(line)
+            if SCANF_CALL.search(code):
+                violations.append(Violation(
+                    "scanf-family", rel, i + 1,
+                    "scanf-family call under src/ — an out-of-range field "
+                    "is undefined behaviour; parse with std::from_chars or "
+                    "a fixed-layout parser that rejects it"))
+    return violations
+
+
 FLOAT_LITERAL = r"[-+]?(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?f?"
 FLOAT_EQ = re.compile(
     rf"(?:(?<![<>=!])[=!]=\s*{FLOAT_LITERAL}(?![\w.]))|"
@@ -510,6 +536,7 @@ CHECKS = [
     ("unordered-iteration", check_unordered_iteration),
     ("naked-io-syscall", check_naked_io_syscall),
     ("unseeded-rng", check_unseeded_rng),
+    ("scanf-family", check_scanf_family),
     ("float-equality", check_float_equality),
     ("naked-concurrency", check_naked_concurrency),
     ("doc-citation", check_doc_citation),
@@ -639,6 +666,13 @@ def run_selftest(root):
     expect("unseeded-rng", check_unseeded_rng,
            {"src/core/rng.cc": _golden(root, "bad_unseeded_rng.cc")},
            False, "randomness primitives inside core/rng")
+
+    expect("scanf-family", check_scanf_family,
+           {"src/bad.cc": _golden(root, "bad_scanf.cc")},
+           True, "bad_scanf.cc")
+    expect("scanf-family", check_scanf_family,
+           {"tests/bad_test.cc": _golden(root, "bad_scanf.cc")},
+           False, "the ban covers src/ only")
 
     expect("float-equality", check_float_equality,
            {"src/bad.cc": _golden(root, "bad_float_equality.cc")},
