@@ -63,8 +63,8 @@ std::string ToLower(std::string_view text) {
 
 namespace {
 
-// std::from_chars over the whole of `t` (non-empty, trimmed), after dropping
-// one leading '+': from_chars takes only '-', strtoll and strtod took both.
+// std::from_chars over `t` (non-empty, trimmed). One leading '+' is part of
+// the accepted grammar but not of from_chars', so it is dropped first.
 template <typename T>
 std::from_chars_result FromChars(std::string_view t, T* value) {
   std::string_view body = t;
@@ -98,8 +98,8 @@ Result<double> ParseDouble(std::string_view text) {
   if (t.empty()) return Status::DataLoss("empty numeric field");
   double value = 0.0;
   const auto [end, ec] = FromChars(t, &value);
-  // Too large, or too small to be a normal double: from_chars accepts a
-  // subnormal, strtod flagged it ERANGE, and the reader keeps the latter.
+  // Too large, or too small to be a normal double. from_chars accepts a
+  // subnormal result; this grammar does not.
   if (ec == std::errc::result_out_of_range ||
       (ec == std::errc() && std::fpclassify(value) == FP_SUBNORMAL)) {
     return Status::OutOfRange("double overflow: " + std::string(t));

@@ -26,9 +26,10 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 std::string ToLower(std::string_view text);
 
 /// \brief Strict numeric parsing: the whole (trimmed) string must parse, as
-/// a decimal integer or a decimal (not hexadecimal) floating-point number,
-/// with an optional sign. Malformed text is kDataLoss; a value that does not
-/// fit (for doubles: overflow, underflow or a subnormal) is kOutOfRange.
+/// a decimal integer, or as a decimal (not hexadecimal) floating-point
+/// number, `inf` or `nan`, with an optional sign. Malformed text is
+/// kDataLoss; a value that does not fit (for doubles: overflow, underflow
+/// or a subnormal) is kOutOfRange.
 Result<int64_t> ParseInt(std::string_view text);
 Result<double> ParseDouble(std::string_view text);
 

@@ -159,11 +159,11 @@ Status Dataset::WriteCsv(const std::string& locations_path,
 
 namespace {
 
-/// How reading one table went. The reader used to tokenise both documents
-/// before it converted a single field, so a structural fault (an open
-/// quote, a row of the wrong width, an empty document) in either table was
-/// reported before any content fault (a missing column, a malformed value).
-/// Keeping the two apart keeps that order, and so the error a caller sees.
+/// How reading one table went, in two parts, because a structural fault (an
+/// open quote, a row of the wrong width, an empty document) in either table
+/// is reported before any content fault (a missing column, a malformed
+/// value). That order fixes which error a caller sees when a document has
+/// both kinds, whichever table comes first.
 struct TableStatus {
   Status structure;
   Status content;

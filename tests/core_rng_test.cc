@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -133,8 +134,8 @@ TEST(RngTest, WeightedIgnoresNegativeWeights) {
 }
 
 TEST(RngTest, CumulativeDrawMatchesNextWeighted) {
-  // 1000 seeded weight vectors: zeros, negative weights, single elements and
-  // all the mass in the last slot among them. Two identically seeded
+  // 1000 seeded weight vectors: zeros, negative weights, single elements,
+  // all the mass in the last slot and subnormal weights among them. Two identically seeded
   // generators must pick the same index on every draw, one by a linear
   // NextWeighted scan and one by NextFromCumulative's binary search.
   Rng gen(2024);
@@ -157,6 +158,15 @@ TEST(RngTest, CumulativeDrawMatchesNextWeighted) {
     if (trial % 10 == 1) {
       for (size_t i = 0; i + 1 < w.size(); ++i) w[i] = i % 2 ? 0.0 : -1.0;
       w.back() = 2.5;
+    }
+    if (trial % 10 == 2) {
+      // Weights of a few subnormal units: the draw's target then rounds
+      // onto a running sum about half the time, which is where "first sum
+      // above the target" and "first sum at or above it" part ways.
+      for (double& x : w) {
+        x = std::numeric_limits<double>::denorm_min() *
+            static_cast<double>(gen.NextBounded(4));
+      }
     }
     if (std::none_of(w.begin(), w.end(), [](double x) { return x > 0.0; })) {
       w.back() = 1.0;

@@ -156,9 +156,11 @@ uint64_t Fnv1a64(std::string_view bytes) {
 
 // Locks the generator's output byte for byte at the paper's scale: both CSV
 // exports of the default config, hashed, for the default seed and one other.
-// Any change to the draw order, the arithmetic of a weight or the export
-// format moves a hash. GoldenFingerprint in integration_paper_test only pins
-// what the pipeline derives from the data; this pins the data itself.
+// Any change that alters one generated value or one exported byte moves a
+// hash. (A weight off by an ulp usually alters nothing: no draw lands in
+// the sliver between the old and the new boundary.) GoldenFingerprint in
+// integration_paper_test only pins what the pipeline derives from the data;
+// this pins the data itself.
 TEST(SyntheticTest, CsvExportBytesArePinned) {
   struct Pin {
     uint64_t seed;
