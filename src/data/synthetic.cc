@@ -159,8 +159,8 @@ struct GenState {
   Rng rng{0};
 };
 
-/// Sets up what station placement needs: the map, the seeded generator and
-/// the hour tables.
+/// The state both entry points start from: the map, the seeded generator,
+/// and the hotspot and hour tables, which depend on nothing else.
 GenState NewGenState(const SyntheticConfig& config) {
   GenState state;
   state.config = config;
