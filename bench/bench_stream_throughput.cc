@@ -163,11 +163,12 @@ BENCHMARK(BM_ShardedIngest)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 void BM_SnapshotFreeze(benchmark::State& state) {
   const auto stations = static_cast<size_t>(state.range(0));
   SlidingWindowGraph window({stations, 0});
+  const ShardedWindowView view({&window});
   for (const TripEvent& e : PlantedStream(stations, 4, 7, 4000, 23)) {
     (void)window.Ingest(e);
   }
   for (auto _ : state) {
-    auto snap = FreezeSnapshot(window);
+    auto snap = FreezeSnapshot(view);
     benchmark::DoNotOptimize(snap.ok());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -192,9 +193,10 @@ void SnapshotEpochFreeze(benchmark::State& state, bool use_delta) {
   for (auto _ : state) {
     state.PauseTiming();
     SlidingWindowGraph window({stations, 7 * 86400});
+    const ShardedWindowView view({&window});
     for (size_t i = 0; i < warmup; ++i) (void)window.Ingest(events[i]);
     (void)window.DrainDirty();  // arm tracking
-    WindowSnapshot previous = FreezeSnapshot(window).ValueOrDie();
+    WindowSnapshot previous = FreezeSnapshot(view).ValueOrDie();
     size_t cursor = warmup;
     state.ResumeTiming();
     for (int epoch = 0; epoch < kEpochs; ++epoch) {
@@ -204,11 +206,11 @@ void SnapshotEpochFreeze(benchmark::State& state, bool use_delta) {
       if (use_delta) {
         const WindowDirtySet dirty = window.DrainDirty();
         previous =
-            FreezeSnapshotDelta(window, previous, dirty, {}, nullptr, policy)
+            FreezeSnapshotDelta(view, previous, dirty, {}, nullptr, policy)
                 .ValueOrDie();
       } else {
         (void)window.DrainDirty();
-        previous = FreezeSnapshot(window).ValueOrDie();
+        previous = FreezeSnapshot(view).ValueOrDie();
       }
       benchmark::DoNotOptimize(previous.graph.total_weight());
     }
@@ -233,6 +235,7 @@ BENCHMARK(BM_SnapshotDeltaFreeze)->Arg(64)->Arg(256);
 std::vector<graphdb::WeightedGraph> WindowSequence(size_t stations) {
   std::vector<graphdb::WeightedGraph> graphs;
   SlidingWindowGraph window({stations, 7 * 86400});
+  const ShardedWindowView view({&window});
   const auto events = PlantedStream(stations, 4, 21, 2000, 31);
   int day = 0;
   const int64_t first = events.front().start_time.seconds_since_epoch();
@@ -242,7 +245,7 @@ std::vector<graphdb::WeightedGraph> WindowSequence(size_t stations) {
         static_cast<int>((e.start_time.seconds_since_epoch() - first) / 86400);
     if (event_day > day && event_day >= 7) {
       day = event_day;
-      graphs.push_back(FreezeSnapshot(window).ValueOrDie().graph);
+      graphs.push_back(FreezeSnapshot(view).ValueOrDie().graph);
     }
   }
   return graphs;

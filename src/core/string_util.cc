@@ -104,7 +104,9 @@ Result<double> ParseDouble(std::string_view text) {
       (ec == std::errc() && std::fpclassify(value) == FP_SUBNORMAL)) {
     return Status::OutOfRange("double overflow: " + std::string(t));
   }
-  if (ec != std::errc() || end != t.data() + t.size()) {
+  // `inf` and `nan` parse, but no field of a trip record is non-finite.
+  if (ec != std::errc() || end != t.data() + t.size() ||
+      !std::isfinite(value)) {
     return Status::DataLoss("invalid number: '" + std::string(t) + "'");
   }
   return value;

@@ -447,8 +447,17 @@ Result<Dataset> GenerateSyntheticMoby(const SyntheticConfig& config) {
     p = 0.02 + state.rng.NextExponential(1.1);  // heavy-ish tail
   }
 
-  auto pick_station_near = [&](int h, const LatLon& fallback, int hour,
-                               bool weekend) -> Endpoint {
+  // A hotspot that owns no station sends its station trips to the
+  // station nearest its centre, which is fixed once stations are placed.
+  std::vector<int> nearest_station(state.hotspots.size(), -1);
+  for (size_t h = 0; h < state.hotspots.size(); ++h) {
+    if (hotspot_stations[h].empty()) {
+      nearest_station[h] = static_cast<int>(
+          state.station_index.Nearest(state.hotspots[h].center).id);
+    }
+  }
+
+  auto pick_station_near = [&](int h, int hour, bool weekend) -> Endpoint {
     // Prefer stations of the hotspot (hour-weighted when the trip's start
     // time is already known); fall back to the nearest station.
     const auto& owned = hotspot_stations[AsIndex(h)];
@@ -463,7 +472,7 @@ Result<Dataset> GenerateSyntheticMoby(const SyntheticConfig& config) {
       }
       s = owned[state.rng.NextWeighted(w)];
     } else {
-      s = static_cast<int>(state.station_index.Nearest(fallback).id);
+      s = nearest_station[AsIndex(h)];
     }
     return {state.station_location_ids[AsIndex(s)], state.station_kind[AsIndex(s)]};
   };
@@ -495,8 +504,7 @@ Result<Dataset> GenerateSyntheticMoby(const SyntheticConfig& config) {
         static_cast<int>(state.rng.NextFromCumulative(state.hotspot_cdf));
     Endpoint origin;
     if (state.rng.NextDouble() < config.station_endpoint_prob) {
-      origin = pick_station_near(oh, state.hotspots[AsIndex(oh)].center, /*hour=*/-1,
-                                 /*weekend=*/false);
+      origin = pick_station_near(oh, /*hour=*/-1, /*weekend=*/false);
     } else {
       origin = SampleDocklessLocation(&state, oh);
     }
@@ -519,7 +527,7 @@ Result<Dataset> GenerateSyntheticMoby(const SyntheticConfig& config) {
             .subspan(table * n_hotspots, n_hotspots)));
     Endpoint dest;
     if (state.rng.NextDouble() < config.station_endpoint_prob) {
-      dest = pick_station_near(dh, state.hotspots[AsIndex(dh)].center, hour, weekend);
+      dest = pick_station_near(dh, hour, weekend);
     } else {
       dest = SampleDocklessLocation(&state, dh, hour, weekend);
     }

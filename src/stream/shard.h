@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -64,9 +63,9 @@ class ShardRouter {
   size_t shard_count_;
 };
 
-/// \brief A read-only merged view over N shards' window graphs,
-/// presenting the same query surface `FreezeSnapshot` /
-/// `FreezeSnapshotDelta` read from a single `SlidingWindowGraph`.
+/// \brief A read-only merged view over N shards' window graphs: the one
+/// window type `FreezeSnapshot` / `FreezeSnapshotDelta` read. A single
+/// window is frozen as `ShardedWindowView({&window})`.
 ///
 /// Pair trip counts are disjoint across shards (exclusive pair
 /// ownership), so `TripsBetween` and `ForEachPair` are disjoint unions;
@@ -112,45 +111,11 @@ class ShardedWindowView {
   /// over the union stream would produce.
   analysis::StationProfiles Profiles() const;
 
-  /// Visits every live pair ordered by (u, v) ascending, exactly like
-  /// `SlidingWindowGraph::ForEachPair`: a k-way merge of the shards'
-  /// sorted pair-key lists (disjoint, so ascending merge order is total
-  /// order with no ties to break).
+  /// Visits every live pair once, shard by shard, each in its storage
+  /// order — the disjoint union of the shards' `ForEachPair`.
   template <typename Visitor>
   void ForEachPair(Visitor&& visit) const {
-    struct Cursor {
-      const std::vector<uint64_t>* keys;
-      size_t pos;
-      const SlidingWindowGraph* shard;
-    };
-    std::vector<Cursor> cursors;
-    cursors.reserve(shards_.size());
-    for (const SlidingWindowGraph* shard : shards_) {
-      const std::vector<uint64_t>& keys = shard->SortedPairKeys();
-      if (!keys.empty()) cursors.push_back(Cursor{&keys, 0, shard});
-    }
-    while (!cursors.empty()) {
-      size_t best = 0;
-      for (size_t i = 1; i < cursors.size(); ++i) {
-        if ((*cursors[i].keys)[cursors[i].pos] <
-            (*cursors[best].keys)[cursors[best].pos]) {
-          best = i;
-        }
-      }
-      Cursor& cursor = cursors[best];
-      const uint64_t key = (*cursor.keys)[cursor.pos];
-      const auto u = static_cast<int32_t>(key >> 32);
-      const auto v = static_cast<int32_t>(key & 0xFFFFFFFFu);
-      visit(u, v, cursor.shard->TripsBetween(u, v));
-      if (++cursor.pos == cursor.keys->size()) {
-        cursors.erase(cursors.begin() +
-                      static_cast<std::ptrdiff_t>(best));
-      }
-    }
-  }
-
-  const std::vector<const SlidingWindowGraph*>& shards() const {
-    return shards_;
+    for (const SlidingWindowGraph* shard : shards_) shard->ForEachPair(visit);
   }
 
  private:

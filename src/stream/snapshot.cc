@@ -48,16 +48,10 @@ Status ValidateFreezeInputs(const analysis::TemporalGraphOptions& projection,
   return Status::OK();
 }
 
-/// The freeze paths are templates over the window type: a single
-/// `SlidingWindowGraph` or the `ShardedWindowView` merge over N of them
-/// (stream/shard.h). Both expose the same read surface, and the float
-/// arithmetic runs over the same merged-integer inputs in the same
-/// sorted-pair order, so the sharded freeze is bit-identical to the
-/// single-writer freeze by construction — not by a second copy of the
-/// formulas kept in sync.
-template <typename Window>
-Result<WindowSnapshot> FreezeSnapshotImpl(
-    const Window& window,
+}  // namespace
+
+Result<WindowSnapshot> FreezeSnapshot(
+    const ShardedWindowView& window,
     const analysis::TemporalGraphOptions& projection,
     std::shared_ptr<const geo::GridIndex> station_index) {
   BIKEGRAPH_RETURN_NOT_OK(
@@ -72,6 +66,8 @@ Result<WindowSnapshot> FreezeSnapshotImpl(
 
   graphdb::WeightedGraphBuilder builder(window.station_count());
   builder.Reserve(window.pair_count());
+  // Pairs arrive in storage order. They are unique and Build() radix-sorts
+  // them, so the CSR does not depend on that order.
   Status status = Status::OK();
   window.ForEachPair([&](int32_t u, int32_t v, int64_t trips) {
     if (!status.ok()) return;
@@ -84,9 +80,8 @@ Result<WindowSnapshot> FreezeSnapshotImpl(
   return snap;
 }
 
-template <typename Window>
-Result<WindowSnapshot> FreezeSnapshotDeltaImpl(
-    const Window& window, const WindowSnapshot& previous,
+Result<WindowSnapshot> FreezeSnapshotDelta(
+    const ShardedWindowView& window, const WindowSnapshot& previous,
     const WindowDirtySet& changes,
     const analysis::TemporalGraphOptions& projection,
     std::shared_ptr<const geo::GridIndex> station_index,
@@ -122,7 +117,7 @@ Result<WindowSnapshot> FreezeSnapshotDeltaImpl(
     }
   }
   if (!delta_applicable) {
-    return FreezeSnapshotImpl(window, projection, std::move(station_index));
+    return FreezeSnapshot(window, projection, std::move(station_index));
   }
   BIKEGRAPH_RETURN_NOT_OK(
       ValidateFreezeInputs(projection, station_index.get()));
@@ -194,8 +189,6 @@ Result<WindowSnapshot> FreezeSnapshotDeltaImpl(
   return snap;
 }
 
-}  // namespace
-
 std::shared_ptr<const geo::GridIndex> BuildFrozenStationIndex(
     const std::vector<geo::LatLon>& station_positions) {
   if (station_positions.empty()) return nullptr;
@@ -205,42 +198,6 @@ std::shared_ptr<const geo::GridIndex> BuildFrozenStationIndex(
   }
   index->Freeze();
   return index;
-}
-
-Result<WindowSnapshot> FreezeSnapshot(
-    const SlidingWindowGraph& window,
-    const analysis::TemporalGraphOptions& projection,
-    std::shared_ptr<const geo::GridIndex> station_index) {
-  return FreezeSnapshotImpl(window, projection, std::move(station_index));
-}
-
-Result<WindowSnapshot> FreezeSnapshot(
-    const ShardedWindowView& window,
-    const analysis::TemporalGraphOptions& projection,
-    std::shared_ptr<const geo::GridIndex> station_index) {
-  return FreezeSnapshotImpl(window, projection, std::move(station_index));
-}
-
-Result<WindowSnapshot> FreezeSnapshotDelta(
-    const SlidingWindowGraph& window, const WindowSnapshot& previous,
-    const WindowDirtySet& changes,
-    const analysis::TemporalGraphOptions& projection,
-    std::shared_ptr<const geo::GridIndex> station_index,
-    const SnapshotDeltaPolicy& policy, bool* used_delta) {
-  return FreezeSnapshotDeltaImpl(window, previous, changes, projection,
-                                 std::move(station_index), policy,
-                                 used_delta);
-}
-
-Result<WindowSnapshot> FreezeSnapshotDelta(
-    const ShardedWindowView& window, const WindowSnapshot& previous,
-    const WindowDirtySet& changes,
-    const analysis::TemporalGraphOptions& projection,
-    std::shared_ptr<const geo::GridIndex> station_index,
-    const SnapshotDeltaPolicy& policy, bool* used_delta) {
-  return FreezeSnapshotDeltaImpl(window, previous, changes, projection,
-                                 std::move(station_index), policy,
-                                 used_delta);
 }
 
 std::shared_ptr<const WindowSnapshot> SnapshotPublisher::Publish(

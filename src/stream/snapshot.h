@@ -58,21 +58,15 @@ struct WindowSnapshot {
 std::shared_ptr<const geo::GridIndex> BuildFrozenStationIndex(
     const std::vector<geo::LatLon>& station_positions);
 
-/// \brief Freezes the live window into an immutable snapshot (epoch 0;
-/// publish it to stamp one). `station_index` (optional, from
+/// \brief Freezes the live window — the merged view over the engine's
+/// shard windows, or `ShardedWindowView({&window})` for a single one —
+/// into an immutable snapshot (epoch 0; publish it to stamp one). The
+/// merge sums integral counters before any float math, so the freeze is
+/// bit-identical to freezing one window that ingested the union stream.
+/// The view's shards must be quiescent and watermark-aligned (the
+/// engine's freeze barrier). `station_index` (optional, from
 /// BuildFrozenStationIndex; must be frozen, or InvalidArgument) is
 /// shared into the snapshot. Rejects invalid projection options.
-Result<WindowSnapshot> FreezeSnapshot(
-    const SlidingWindowGraph& window,
-    const analysis::TemporalGraphOptions& projection = {},
-    std::shared_ptr<const geo::GridIndex> station_index = nullptr);
-
-/// \brief Sharded-engine overload: freezes the merged view over N shard
-/// windows (see ShardedWindowView). Bit-identical to freezing a single
-/// window that ingested the union stream — both paths share one freeze
-/// implementation templated over the window type, and the merge sums
-/// integral counters before any float math. The view's shards must be
-/// quiescent and watermark-aligned (the engine's freeze barrier).
 Result<WindowSnapshot> FreezeSnapshot(
     const ShardedWindowView& window,
     const analysis::TemporalGraphOptions& projection = {},
@@ -93,27 +87,16 @@ struct SnapshotDeltaPolicy {
 /// \brief Freezes the live window by copy-on-write patching of the
 /// previous epoch's snapshot: only the station pairs and profiles in
 /// `changes` (drained from the window via
-/// `SlidingWindowGraph::DrainDirty`, covering exactly the epochs since
-/// `previous` was frozen) are recomputed; everything else is
-/// block-copied. The result is bit-identical to a full FreezeSnapshot of
-/// the same window — locked by stream_snapshot_delta_test.cc across
-/// randomized epoch sequences.
+/// `SlidingWindowGraph::DrainDirty`, merged across shards with
+/// MergeDirtySets, covering exactly the epochs since `previous` was
+/// frozen) are recomputed; everything else is block-copied. The result
+/// is bit-identical to a full FreezeSnapshot of the same window — locked
+/// by stream_snapshot_delta_test.cc across randomized epoch sequences.
 ///
 /// Falls back to a full freeze (reported via `used_delta`) when the
 /// change record is incomplete (first drain, overflow), the previous
 /// snapshot is incompatible (different station universe or projection),
 /// or the dirty fraction exceeds `policy.max_dirty_fraction`.
-Result<WindowSnapshot> FreezeSnapshotDelta(
-    const SlidingWindowGraph& window, const WindowSnapshot& previous,
-    const WindowDirtySet& changes,
-    const analysis::TemporalGraphOptions& projection = {},
-    std::shared_ptr<const geo::GridIndex> station_index = nullptr,
-    const SnapshotDeltaPolicy& policy = {}, bool* used_delta = nullptr);
-
-/// \brief Sharded-engine overload: copy-on-write delta freeze over the
-/// merged shard view, with `changes` the merge of the shards' drained
-/// dirty sets (see MergeDirtySets in stream/shard.h). Same fallback and
-/// bit-identity contract as the single-window overload.
 Result<WindowSnapshot> FreezeSnapshotDelta(
     const ShardedWindowView& window, const WindowSnapshot& previous,
     const WindowDirtySet& changes,

@@ -161,9 +161,8 @@ analysis::StationProfiles SlidingWindowGraph::Profiles() const {
 void SlidingWindowGraph::ApplyDelta(const RingEntry& e, int32_t delta) {
   const uint64_t key = PairKey(e.from, e.to);
   if (delta > 0) {
-    auto [it, inserted] = pair_trips_.try_emplace(key);
+    auto it = pair_trips_.try_emplace(key).first;
     it->second.trips += delta;
-    if (inserted) sorted_pairs_dirty_ = true;
     if (dirty_tracking_armed_) MarkPairDirty(key, it->second);
   } else {
     auto it = pair_trips_.find(key);
@@ -183,10 +182,7 @@ void SlidingWindowGraph::ApplyDelta(const RingEntry& e, int32_t delta) {
     }
     it->second.trips += delta;
     if (dirty_tracking_armed_) MarkPairDirty(key, it->second);
-    if (it->second.trips == 0) {
-      pair_trips_.erase(it);
-      sorted_pairs_dirty_ = true;
-    }
+    if (it->second.trips == 0) pair_trips_.erase(it);
   }
   for (int32_t station : {e.from, e.to}) {
     day_[AsIndex(station)][e.day] += delta;
@@ -316,16 +312,7 @@ Status SlidingWindowGraph::RestoreState(const WindowGraphState& state) {
   last_event_seconds_ = state.last_event_seconds;
   ingested_count_ = state.ingested_count;
   delta_desync_count_ = state.delta_desync_count;
-  sorted_pairs_dirty_ = true;
   return Status::OK();
-}
-
-void SlidingWindowGraph::RebuildSortedPairs() const {
-  sorted_pairs_.clear();
-  sorted_pairs_.reserve(pair_trips_.size());
-  for (const auto& [key, trips] : pair_trips_) sorted_pairs_.push_back(key);
-  std::sort(sorted_pairs_.begin(), sorted_pairs_.end());
-  sorted_pairs_dirty_ = false;
 }
 
 }  // namespace bikegraph::stream

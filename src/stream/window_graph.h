@@ -62,8 +62,10 @@ struct WindowGraphState {
     int32_t from, to;
   };
   std::vector<RingEvent> ring;
-  /// Landmark windows only: the aggregates themselves.
-  std::vector<std::pair<uint64_t, int64_t>> pairs;  ///< (PairKey, trips)
+  /// Landmark windows only: the aggregates themselves. `pairs` holds
+  /// (PairKey, trips) sorted by key, so checkpoint bytes do not depend
+  /// on the pair map's storage order.
+  std::vector<std::pair<uint64_t, int64_t>> pairs;
   std::vector<std::array<int64_t, 7>> day;
   std::vector<std::array<int64_t, 24>> hour;
   std::vector<int64_t> endpoint_count;
@@ -153,26 +155,18 @@ class SlidingWindowGraph {
   /// (`analysis::StationProfiles`), for similarity reweighting.
   analysis::StationProfiles Profiles() const;
 
-  /// Visits every pair with a live trip count, ordered by (u, v)
-  /// ascending: `visit(u, v, trips)` with u <= v. Deterministic, so
-  /// snapshot freezes are reproducible.
+  /// Visits every pair with a live trip count: `visit(u, v, trips)` with
+  /// u <= v, each pair exactly once, in storage (unspecified) order.
   template <typename Visitor>
   void ForEachPair(Visitor&& visit) const {
-    if (sorted_pairs_dirty_) RebuildSortedPairs();
-    for (uint64_t key : sorted_pairs_) {
+    // lint: unordered-iter-ok: the only consumer is the snapshot freeze,
+    // which feeds WeightedGraphBuilder; Build() radix-sorts the pairs and
+    // live pairs are unique, so visit order cannot reach the CSR (locked
+    // by SnapshotHistoryIndependenceTest in stream_snapshot_delta_test).
+    for (const auto& [key, state] : pair_trips_) {
       visit(static_cast<int32_t>(key >> 32),
-            static_cast<int32_t>(key & 0xFFFFFFFFu),
-            pair_trips_.find(key)->second.trips);
+            static_cast<int32_t>(key & 0xFFFFFFFFu), state.trips);
     }
-  }
-
-  /// The live pair keys sorted ascending — the sequence ForEachPair
-  /// iterates. Exposed so a sharded merge view can k-way merge several
-  /// windows' pair sets without materializing a combined copy (see
-  /// stream/shard.h). The reference is invalidated by the next mutation.
-  const std::vector<uint64_t>& SortedPairKeys() const {
-    if (sorted_pairs_dirty_) RebuildSortedPairs();
-    return sorted_pairs_;
   }
 
   /// The packed pair key used by WindowDirtySet::pairs:
@@ -252,7 +246,6 @@ class SlidingWindowGraph {
   void MarkPairDirty(uint64_t key, PairState& state);
   void ExpireOlderThan(int64_t cutoff_seconds);
   void PushRing(const RingEntry& e);
-  void RebuildSortedPairs() const;
 
   WindowGraphOptions options_;
   CivilTime watermark_{INT64_MIN};
@@ -284,11 +277,6 @@ class SlidingWindowGraph {
   size_t live_count_ = 0;
   size_t ingested_count_ = 0;
   size_t delta_desync_count_ = 0;
-
-  // Sorted pair keys for deterministic iteration; rebuilt lazily after
-  // the pair set changes.
-  mutable std::vector<uint64_t> sorted_pairs_;
-  mutable bool sorted_pairs_dirty_ = false;
 };
 
 }  // namespace bikegraph::stream

@@ -97,8 +97,10 @@ TEST(ParseIntTest, SignsAndRangeCodes) {
 TEST(ParseDoubleTest, SignsAndRangeCodes) {
   EXPECT_DOUBLE_EQ(*ParseDouble("+53.349"), 53.349);
   EXPECT_DOUBLE_EQ(*ParseDouble(" -.5 "), -0.5);
-  EXPECT_TRUE(std::isinf(*ParseDouble("inf")));
-  EXPECT_TRUE(std::isnan(*ParseDouble("nan")));
+  for (const char* nonfinite : {"inf", "-inf", "nan", "+NaN", "infinity"}) {
+    EXPECT_EQ(ParseDouble(nonfinite).status().code(), StatusCode::kDataLoss)
+        << nonfinite;
+  }
   // Overflow, underflow to zero and a subnormal result are all out of
   // range, as strtod's ERANGE made them.
   for (const char* big : {"1e400", "-1e400", "1e-400", "1e-310"}) {

@@ -407,6 +407,23 @@ TEST(CsvDatasetTest, ColumnsFoundByHeaderName) {
   EXPECT_DOUBLE_EQ(ds->locations()[0].position.lat, 53.35);
 }
 
+TEST(CsvDatasetTest, NonFiniteCoordinateIsDataLoss) {
+  // A non-finite lat/lon is hostile bytes, not a missing coordinate (an
+  // empty field is the missing one). The oracle parses numbers with the
+  // same ParseDouble, so the two readers agree.
+  for (const char* row : {"1,nan,-6.26,1,x", "1,53.35,inf,1,x",
+                          "1,-inf,-6.26,1,x", "1,53.35,NaN,1,x"}) {
+    const std::string locations =
+        std::string("id,lat,lon,is_station,name\n") + row + "\n";
+    auto ds = Dataset::FromCsvStrings(locations, kOneRental);
+    auto want = oracle::FromCsvStrings(locations, kOneRental);
+    ASSERT_FALSE(ds.ok()) << row;
+    ASSERT_FALSE(want.ok()) << row;
+    EXPECT_EQ(ds.status().code(), StatusCode::kDataLoss) << row;
+    EXPECT_EQ(want.status().code(), StatusCode::kDataLoss) << row;
+  }
+}
+
 TEST(CsvDatasetTest, StructuralFaultOutranksContentFault) {
   // A malformed id in the locations table, a short row in the rentals
   // table: the structural fault is the one reported, as it was when both

@@ -243,7 +243,8 @@ TEST(ShardedWindowViewTest, MergedViewMatchesTheUnionWindow) {
   EXPECT_EQ(merged_profiles.day, single_profiles.day);
   EXPECT_EQ(merged_profiles.hour, single_profiles.hour);
 
-  // ForEachPair: identical (u, v, trips) sequence, ascending, no ties.
+  // ForEachPair: the same set of (u, v, trips) triples, each pair once
+  // (visit order is storage order, so compare sorted copies).
   std::vector<std::array<int64_t, 3>> from_view, from_single;
   view.ForEachPair([&](int32_t u, int32_t v, int64_t trips) {
     from_view.push_back({u, v, trips});
@@ -252,12 +253,15 @@ TEST(ShardedWindowViewTest, MergedViewMatchesTheUnionWindow) {
   single.ForEachPair([&](int32_t u, int32_t v, int64_t trips) {
     from_single.push_back({u, v, trips});
   });
+  std::sort(from_view.begin(), from_view.end());
+  std::sort(from_single.begin(), from_single.end());
   EXPECT_EQ(from_view, from_single);
+  EXPECT_EQ(from_view.size(), single.pair_count());
 
   // And the freeze built over the view is bit-identical to the freeze
   // built over the union window.
   auto merged_snap = FreezeSnapshot(view);
-  auto single_snap = FreezeSnapshot(single);
+  auto single_snap = FreezeSnapshot(ShardedWindowView({&single}));
   ASSERT_TRUE(merged_snap.ok());
   ASSERT_TRUE(single_snap.ok());
   EXPECT_EQ(merged_snap->trip_count, single_snap->trip_count);

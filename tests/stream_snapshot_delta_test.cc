@@ -3,7 +3,9 @@
 // tracking contract (arming, exactness, overflow), and the headline lock
 // — FreezeSnapshotDelta chained across a thousand randomized epochs is
 // bit-identical to a full FreezeSnapshot of the same window, for the
-// GBasic and temporal projections, with the engine wiring on top.
+// GBasic and temporal projections, with the engine wiring on top — and
+// the history-independence lock: the same live pair set reached by
+// different histories freezes to the same CSR bit for bit.
 
 #include <algorithm>
 #include <cstdint>
@@ -11,6 +13,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/checked_cast.h"
 #include "core/civil_time.h"
 #include "core/rng.h"
 #include "graphdb/weighted_graph.h"
@@ -245,13 +248,14 @@ void RunRandomizedEpochChain(const analysis::TemporalGraphOptions& projection,
   Rng rng(seed);
   const size_t stations = 16;
   SlidingWindowGraph window({stations, window_seconds});
+  const ShardedWindowView view({&window});
   SnapshotDeltaPolicy force_delta;
   force_delta.max_dirty_fraction = 1e18;  // never fall back on size
 
   CivilTime t = At(6, 0);
   int64_t id = 0;
   (void)window.DrainDirty();  // arm tracking
-  WindowSnapshot previous = FreezeSnapshot(window, projection).ValueOrDie();
+  WindowSnapshot previous = FreezeSnapshot(view, projection).ValueOrDie();
   size_t delta_epochs = 0;
   for (int epoch = 0; epoch < epochs; ++epoch) {
     const uint64_t events = rng.NextBounded(12);
@@ -270,11 +274,11 @@ void RunRandomizedEpochChain(const analysis::TemporalGraphOptions& projection,
     }
     const WindowDirtySet dirty = window.DrainDirty();
     bool used_delta = false;
-    auto delta = FreezeSnapshotDelta(window, previous, dirty, projection,
-                                     nullptr, force_delta, &used_delta);
+    auto delta = FreezeSnapshotDelta(view, previous, dirty, projection,
+                                   nullptr, force_delta, &used_delta);
     ASSERT_TRUE(delta.ok()) << delta.status();
     if (used_delta) ++delta_epochs;
-    auto full = FreezeSnapshot(window, projection);
+    auto full = FreezeSnapshot(view, projection);
     ASSERT_TRUE(full.ok());
     ExpectSnapshotsIdentical(*delta, *full);
     previous = std::move(*delta);
@@ -304,14 +308,15 @@ TEST(SnapshotDeltaTest, EpochChainBitIdentityGHourLandmark) {
 
 TEST(SnapshotDeltaTest, FallsBackWithoutPreviousCompatibleSnapshot) {
   SlidingWindowGraph window({4, 0});
+  const ShardedWindowView view({&window});
   ASSERT_TRUE(window.Ingest(Trip(0, 1, At(6, 8))).ok());
   // Incomplete dirty set (tracking not yet armed) -> full freeze.
   WindowDirtySet dirty = window.DrainDirty();
   ASSERT_FALSE(dirty.complete);
-  WindowSnapshot prev = FreezeSnapshot(window).ValueOrDie();
+  WindowSnapshot prev = FreezeSnapshot(view).ValueOrDie();
   bool used_delta = true;
-  auto snap = FreezeSnapshotDelta(window, prev, dirty, {}, nullptr, {},
-                                  &used_delta);
+  auto snap = FreezeSnapshotDelta(view, prev, dirty, {}, nullptr, {},
+                                &used_delta);
   ASSERT_TRUE(snap.ok());
   EXPECT_FALSE(used_delta);
   ExpectSnapshotsIdentical(*snap, prev);
@@ -322,20 +327,21 @@ TEST(SnapshotDeltaTest, FallsBackWithoutPreviousCompatibleSnapshot) {
   ASSERT_TRUE(dirty.complete);
   analysis::TemporalGraphOptions day;
   day.granularity = analysis::TemporalGranularity::kDay;
-  auto mismatched = FreezeSnapshotDelta(window, prev, dirty, day, nullptr,
-                                        {}, &used_delta);
+  auto mismatched = FreezeSnapshotDelta(view, prev, dirty, day, nullptr,
+                                      {}, &used_delta);
   ASSERT_TRUE(mismatched.ok());
   EXPECT_FALSE(used_delta);
-  auto full = FreezeSnapshot(window, day);
+  auto full = FreezeSnapshot(view, day);
   ASSERT_TRUE(full.ok());
   ExpectSnapshotsIdentical(*mismatched, *full);
 }
 
 TEST(SnapshotDeltaTest, LargeDirtyFractionFallsBackAndStaysCorrect) {
   SlidingWindowGraph window({8, 0});
+  const ShardedWindowView view({&window});
   ASSERT_TRUE(window.Ingest(Trip(0, 1, At(6, 8), 1)).ok());
   (void)window.DrainDirty();
-  WindowSnapshot prev = FreezeSnapshot(window).ValueOrDie();
+  WindowSnapshot prev = FreezeSnapshot(view).ValueOrDie();
   // Touch many new pairs: far beyond the default 25% dirty budget of a
   // 1-edge base graph.
   CivilTime t = At(6, 9);
@@ -348,10 +354,10 @@ TEST(SnapshotDeltaTest, LargeDirtyFractionFallsBackAndStaysCorrect) {
   const WindowDirtySet dirty = window.DrainDirty();
   bool used_delta = true;
   auto snap =
-      FreezeSnapshotDelta(window, prev, dirty, {}, nullptr, {}, &used_delta);
+      FreezeSnapshotDelta(view, prev, dirty, {}, nullptr, {}, &used_delta);
   ASSERT_TRUE(snap.ok());
   EXPECT_FALSE(used_delta);  // the policy chose the full rebuild
-  auto full = FreezeSnapshot(window);
+  auto full = FreezeSnapshot(view);
   ASSERT_TRUE(full.ok());
   ExpectSnapshotsIdentical(*snap, *full);
 }
@@ -433,6 +439,127 @@ TEST(SnapshotDeltaTest, ShardedEngineDeltaEpochsMatchSingleWriterFull) {
   // any large epochs aside).
   EXPECT_GT(sharded_delta.delta_freeze_count(), 0u);
   EXPECT_EQ(single_full.delta_freeze_count(), 0u);
+}
+
+
+// ---------------------------------------------------------------------------
+// History independence: the freeze reads pairs in the pair map's storage
+// order, which depends on how the live set was reached. Build() sorts, so
+// the same live pair set must freeze to the same CSR bit for bit whatever
+// the history.
+// ---------------------------------------------------------------------------
+
+/// Events at 14 distinct (day, hour) start times, ~100 random pairs each,
+/// over `stations` stations. Within one start time the order is free, so
+/// reversing each group keeps every counter and changes the order in
+/// which pairs first enter the map.
+std::vector<std::vector<TripEvent>> TimestampGroups(size_t stations) {
+  Rng rng(1717);
+  std::vector<std::vector<TripEvent>> groups(14);
+  int64_t id = 0;
+  for (int k = 0; k < 14; ++k) {
+    const CivilTime t = At(6 + k, (7 + 5 * k) % 24);
+    for (int i = 0; i < 100; ++i) {
+      groups[AsIndex(k)].push_back(
+          Trip(static_cast<int32_t>(rng.NextBounded(stations)),
+               static_cast<int32_t>(rng.NextBounded(stations)), t, ++id));
+    }
+  }
+  return groups;
+}
+
+/// The freezes of one window under GBasic and GHour.
+std::vector<WindowSnapshot> FreezeBothProjections(
+    const SlidingWindowGraph& window) {
+  analysis::TemporalGraphOptions hour;
+  hour.granularity = analysis::TemporalGranularity::kHour;
+  hour.similarity_floor = 0.2;
+  std::vector<WindowSnapshot> out;
+  for (const analysis::TemporalGraphOptions& projection :
+       {analysis::TemporalGraphOptions{}, hour}) {
+    auto snap = FreezeSnapshot(ShardedWindowView({&window}), projection);
+    EXPECT_TRUE(snap.ok()) << snap.status();
+    out.push_back(std::move(*snap));
+  }
+  return out;
+}
+
+std::vector<uint64_t> VisitOrder(const SlidingWindowGraph& window) {
+  std::vector<uint64_t> keys;
+  window.ForEachPair([&](int32_t u, int32_t v, int64_t) {
+    keys.push_back(SlidingWindowGraph::PairKey(u, v));
+  });
+  return keys;
+}
+
+TEST(SnapshotHistoryIndependenceTest, SameLivePairsFreezeToTheSameCsr) {
+  const size_t stations = 40;
+  const auto groups = TimestampGroups(stations);
+  const int64_t window_seconds = 20 * 86400;  // holds all 14 days
+
+  // Reference: every group in generation order.
+  SlidingWindowGraph reference({stations, window_seconds});
+  for (const auto& group : groups) {
+    for (const TripEvent& e : group) ASSERT_TRUE(reference.Ingest(e).ok());
+  }
+
+  // History 1: each group ingested back to front.
+  SlidingWindowGraph reversed({stations, window_seconds});
+  for (const auto& group : groups) {
+    for (auto it = group.rbegin(); it != group.rend(); ++it) {
+      ASSERT_TRUE(reversed.Ingest(*it).ok());
+    }
+  }
+
+  // History 2: insert/expire churn. Every pair of a larger universe is
+  // inserted well before the real events and expires as they arrive, so
+  // the map grows (rehashes) past the live set and erases its way back.
+  SlidingWindowGraph churned({stations, window_seconds});
+  {
+    const CivilTime junk = At(6, 0).AddSeconds(-window_seconds - 86400);
+    int64_t id = 1'000'000;
+    for (int32_t u = 0; u < static_cast<int32_t>(stations); ++u) {
+      for (int32_t v = u; v < static_cast<int32_t>(stations); ++v) {
+        ASSERT_TRUE(churned.Ingest(Trip(u, v, junk, ++id)).ok());
+      }
+    }
+    EXPECT_EQ(churned.pair_count(), stations * (stations + 1) / 2);
+  }
+  for (const auto& group : groups) {
+    for (const TripEvent& e : group) ASSERT_TRUE(churned.Ingest(e).ok());
+  }
+  EXPECT_EQ(churned.trip_count(), reference.trip_count());
+
+  // History 3: a landmark window exported and restored, which re-inserts
+  // the pairs in key order.
+  SlidingWindowGraph landmark({stations, 0});
+  for (const auto& group : groups) {
+    for (const TripEvent& e : group) ASSERT_TRUE(landmark.Ingest(e).ok());
+  }
+  SlidingWindowGraph restored({stations, 0});
+  ASSERT_TRUE(restored.RestoreState(landmark.ExportState()).ok());
+
+  // The histories really reach the pairs in a different storage order
+  // (otherwise this lock would compare one order with itself).
+  const std::vector<uint64_t> reference_order = VisitOrder(reference);
+  size_t differing = 0;
+  for (const SlidingWindowGraph* other : {&reversed, &churned, &restored}) {
+    ASSERT_EQ(other->pair_count(), reference.pair_count());
+    if (VisitOrder(*other) != reference_order) ++differing;
+  }
+  EXPECT_GT(differing, 0u) << "every history kept the reference visit order";
+
+  const std::vector<WindowSnapshot> expected = FreezeBothProjections(reference);
+  for (const SlidingWindowGraph* other : {&reversed, &churned, &restored}) {
+    const std::vector<WindowSnapshot> got = FreezeBothProjections(*other);
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t p = 0; p < got.size(); ++p) {
+      SCOPED_TRACE(p == 0 ? "GBasic" : "GHour");
+      EXPECT_EQ(got[p].profiles.day, expected[p].profiles.day);
+      EXPECT_EQ(got[p].profiles.hour, expected[p].profiles.hour);
+      ExpectGraphsIdentical(got[p].graph, expected[p].graph);
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_perf.json files and flag regressions.
+"""Compare two BENCH_perf.json files and flag regressions, or run a
+same-session A/B between two builds.
 
 Usage:
     tools/bench_diff.py BASELINE.json CURRENT.json [--threshold 1.15]
                         [--metric cpu_time_ns|real_time_ns] [--filter REGEX]
+    tools/bench_diff.py --ab PARENT_BUILD CHANGE_BUILD --bench BINARY
+                        [--benchmark_filter REGEX] [--pairs 10]
 
 Prints a per-benchmark table of baseline vs current times with the ratio
 (current / baseline; > 1 is slower), then exits non-zero when any
@@ -28,11 +31,23 @@ value is the median of BENCH_REPETITIONS runs (run_benches.sh records the
 spread as "cv_real_time"). 1.15 (the default) tolerates run-to-run jitter
 while catching real slips. Raise it (e.g. --threshold 1.3) for very short
 micro benches.
+
+A/B mode (--ab) runs BINARY from both build directories in N alternated
+pairs (the parent first in even pairs, the change first in odd ones), one
+repetition per run, under the same malloc tunables as run_benches.sh. For
+each benchmark it prints each side's median and quartiles of the wall
+time per iteration, the pairs the change won (lower time; ties count for
+neither side), and whether the gain rule holds: the change wins at least
+9 of every 10 pairs and the medians differ by more than the parent's
+interquartile range. "slower" marks the same rule met the other way.
 """
 
 import argparse
 import json
+import os
 import re
+import statistics
+import subprocess
 import sys
 
 
@@ -57,11 +72,91 @@ def load(path):
     return {key: context[key] for key in FINGERPRINT_KEYS}, flat
 
 
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+# The tunables tools/run_benches.sh sets, so A/B numbers compare with its.
+MALLOC_TUNABLES = "glibc.malloc.mmap_max=0:glibc.malloc.trim_threshold=-1"
+
+
+def run_once(binary, bench_filter):
+    """One run of a google-benchmark binary: {name: real ns/iteration}."""
+    cmd = [binary, "--benchmark_format=json"]
+    if bench_filter:
+        cmd.append(f"--benchmark_filter={bench_filter}")
+    env = dict(os.environ)
+    env.setdefault("GLIBC_TUNABLES", MALLOC_TUNABLES)
+    out = subprocess.run(cmd, env=env, check=True, capture_output=True,
+                         text=True).stdout
+    times = {}
+    for row in json.loads(out)["benchmarks"]:
+        if row.get("run_type", "iteration") != "iteration":
+            continue
+        times[row["name"]] = row["real_time"] * NS_PER_UNIT[row["time_unit"]]
+    return times
+
+
+def quartiles(samples):
+    """(q1, median, q3) by the inclusive method (defined for n >= 2)."""
+    if len(samples) == 1:
+        return samples[0], samples[0], samples[0]
+    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def ab(args):
+    parent_dir, change_dir = args.ab
+    binaries = [os.path.join(d, args.bench) for d in (parent_dir, change_dir)]
+    for binary in binaries:
+        if not os.access(binary, os.X_OK):
+            raise SystemExit(f"{binary}: not an executable (build it first)")
+    samples = ({}, {})  # parent, change: {name: [ns per pair]}
+    for pair in range(args.pairs):
+        order = (0, 1) if pair % 2 == 0 else (1, 0)
+        for side in order:
+            for name, ns in run_once(binaries[side],
+                                     args.benchmark_filter).items():
+                samples[side].setdefault(name, []).append(ns)
+        print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
+    names = [n for n in samples[0] if n in samples[1]]
+    if not names:
+        raise SystemExit("no benchmark ran on both sides")
+    width = max(len(n) for n in names)
+    print(f"{'benchmark':<{width}}  {'parent q1/med/q3 (ms)':>24}  "
+          f"{'change q1/med/q3 (ms)':>24}  wins  gain")
+    for name in names:
+        parent, change = samples[0][name], samples[1][name]
+        pairs = min(len(parent), len(change))
+        wins = sum(c < p for p, c in zip(parent, change))
+        losses = sum(c > p for p, c in zip(parent, change))
+        p1, pm, p3 = quartiles(parent)
+        c1, cm, c3 = quartiles(change)
+        iqr = p3 - p1
+        if wins * 10 >= pairs * 9 and pm - cm > iqr:
+            verdict = "yes"
+        elif losses * 10 >= pairs * 9 and cm - pm > iqr:
+            verdict = "slower"
+        else:
+            verdict = "no"
+        print(f"{name:<{width}}  "
+              f"{p1 / 1e6:>7.3f}/{pm / 1e6:>7.3f}/{p3 / 1e6:>7.3f}  "
+              f"{c1 / 1e6:>7.3f}/{cm / 1e6:>7.3f}/{c3 / 1e6:>7.3f}  "
+              f"{wins:>2}/{pairs:<2} {verdict}")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(
-        description="Compare two BENCH_perf.json files")
-    parser.add_argument("baseline")
-    parser.add_argument("current")
+        description="Compare two BENCH_perf.json files, or A/B two builds")
+    parser.add_argument("files", nargs="*", metavar="BASELINE CURRENT",
+                        help="two BENCH_perf.json files")
+    parser.add_argument("--ab", nargs=2, metavar=("PARENT_BUILD",
+                                                   "CHANGE_BUILD"),
+                        help="run --bench from both build dirs in "
+                             "alternated pairs")
+    parser.add_argument("--bench", help="A/B: the bench binary's file name")
+    parser.add_argument("--benchmark_filter", default="",
+                        help="A/B: passed to the binary as is")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="A/B: alternated pairs to run (default 10)")
     parser.add_argument("--threshold", type=float, default=1.15,
                         help="fail when current/baseline exceeds this "
                              "(default 1.15)")
@@ -71,9 +166,15 @@ def main():
     parser.add_argument("--filter", default="",
                         help="only compare benchmarks matching this regex")
     args = parser.parse_args()
+    if args.ab:
+        if args.files or not args.bench or args.pairs < 1:
+            parser.error("--ab takes --bench, a positive --pairs and no files")
+        return ab(args)
+    if len(args.files) != 2:
+        parser.error("give BASELINE.json and CURRENT.json, or --ab")
 
-    base_host, base = load(args.baseline)
-    cur_host, cur = load(args.current)
+    base_host, base = load(args.files[0])
+    cur_host, cur = load(args.files[1])
     differing = [key for key in FINGERPRINT_KEYS
                  if base_host[key] != cur_host[key]]
     if differing:
