@@ -159,10 +159,11 @@ class SlidingWindowGraph {
   /// u <= v, each pair exactly once, in storage (unspecified) order.
   template <typename Visitor>
   void ForEachPair(Visitor&& visit) const {
-    // lint: unordered-iter-ok: the only consumer is the snapshot freeze,
-    // which feeds WeightedGraphBuilder; Build() radix-sorts the pairs and
-    // live pairs are unique, so visit order cannot reach the CSR (locked
-    // by SnapshotHistoryIndependenceTest in stream_snapshot_delta_test).
+    // lint: unordered-iter-ok: the library's only consumer is the
+    // snapshot freeze, which feeds WeightedGraphBuilder; Build()
+    // radix-sorts the pairs and live pairs are unique, so visit order
+    // cannot reach the CSR (locked by SnapshotHistoryIndependenceTest in
+    // stream_snapshot_delta_test).
     for (const auto& [key, state] : pair_trips_) {
       visit(static_cast<int32_t>(key >> 32),
             static_cast<int32_t>(key & 0xFFFFFFFFu), state.trips);

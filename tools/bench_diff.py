@@ -120,8 +120,8 @@ def ab(args):
     if not names:
         raise SystemExit("no benchmark ran on both sides")
     width = max(len(n) for n in names)
-    print(f"{'benchmark':<{width}}  {'parent q1/med/q3 (ms)':>24}  "
-          f"{'change q1/med/q3 (ms)':>24}  wins  gain")
+    print(f"{'benchmark':<{width}}  {'parent q1/med/q3 (ms)':>23}  "
+          f"{'change q1/med/q3 (ms)':>23}  wins  gain")
     for name in names:
         parent, change = samples[0][name], samples[1][name]
         pairs = min(len(parent), len(change))
