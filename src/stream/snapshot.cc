@@ -66,8 +66,6 @@ Result<WindowSnapshot> FreezeSnapshot(
 
   graphdb::WeightedGraphBuilder builder(window.station_count());
   builder.Reserve(window.pair_count());
-  // Pairs arrive in storage order. They are unique and Build() radix-sorts
-  // them, so the CSR does not depend on that order.
   Status status = Status::OK();
   window.ForEachPair([&](int32_t u, int32_t v, int64_t trips) {
     if (!status.ok()) return;

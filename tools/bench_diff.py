@@ -6,7 +6,7 @@ Usage:
     tools/bench_diff.py BASELINE.json CURRENT.json [--threshold 1.15]
                         [--metric cpu_time_ns|real_time_ns] [--filter REGEX]
     tools/bench_diff.py --ab PARENT_BUILD CHANGE_BUILD --bench BINARY
-                        [--benchmark_filter REGEX] [--pairs 10]
+                        [--benchmark_filter REGEX]
 
 Prints a per-benchmark table of baseline vs current times with the ratio
 (current / baseline; > 1 is slower), then exits non-zero when any
@@ -32,7 +32,7 @@ spread as "cv_real_time"). 1.15 (the default) tolerates run-to-run jitter
 while catching real slips. Raise it (e.g. --threshold 1.3) for very short
 micro benches.
 
-A/B mode (--ab) runs BINARY from both build directories in N alternated
+A/B mode (--ab) runs BINARY from both build directories in 10 alternated
 pairs (the parent first in even pairs, the change first in odd ones), one
 repetition per run, under the same malloc tunables as run_benches.sh. For
 each benchmark it prints each side's median and quartiles of the wall
@@ -72,6 +72,8 @@ def load(path):
     return {key: context[key] for key in FINGERPRINT_KEYS}, flat
 
 
+# The gain rule needs at least ten pairs, so the A/B mode always runs ten.
+AB_PAIRS = 10
 NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 # The tunables tools/run_benches.sh sets, so A/B numbers compare with its.
 MALLOC_TUNABLES = "glibc.malloc.mmap_max=0:glibc.malloc.trim_threshold=-1"
@@ -95,9 +97,7 @@ def run_once(binary, bench_filter):
 
 
 def quartiles(samples):
-    """(q1, median, q3) by the inclusive method (defined for n >= 2)."""
-    if len(samples) == 1:
-        return samples[0], samples[0], samples[0]
+    """(q1, median, q3) by the inclusive method."""
     q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return q1, q2, q3
 
@@ -109,37 +109,37 @@ def ab(args):
         if not os.access(binary, os.X_OK):
             raise SystemExit(f"{binary}: not an executable (build it first)")
     samples = ({}, {})  # parent, change: {name: [ns per pair]}
-    for pair in range(args.pairs):
+    for pair in range(AB_PAIRS):
         order = (0, 1) if pair % 2 == 0 else (1, 0)
         for side in order:
             for name, ns in run_once(binaries[side],
                                      args.benchmark_filter).items():
                 samples[side].setdefault(name, []).append(ns)
-        print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
-    names = [n for n in samples[0] if n in samples[1]]
+        print(f"pair {pair + 1}/{AB_PAIRS} done", file=sys.stderr)
+    names = [n for n in samples[0] if len(samples[0][n]) == AB_PAIRS
+             and len(samples[1].get(n, ())) == AB_PAIRS]
     if not names:
-        raise SystemExit("no benchmark ran on both sides")
+        raise SystemExit("no benchmark ran in every run on both sides")
     width = max(len(n) for n in names)
     print(f"{'benchmark':<{width}}  {'parent q1/med/q3 (ms)':>23}  "
           f"{'change q1/med/q3 (ms)':>23}  wins  gain")
     for name in names:
         parent, change = samples[0][name], samples[1][name]
-        pairs = min(len(parent), len(change))
         wins = sum(c < p for p, c in zip(parent, change))
         losses = sum(c > p for p, c in zip(parent, change))
         p1, pm, p3 = quartiles(parent)
         c1, cm, c3 = quartiles(change)
         iqr = p3 - p1
-        if wins * 10 >= pairs * 9 and pm - cm > iqr:
+        if wins * 10 >= AB_PAIRS * 9 and pm - cm > iqr:
             verdict = "yes"
-        elif losses * 10 >= pairs * 9 and cm - pm > iqr:
+        elif losses * 10 >= AB_PAIRS * 9 and cm - pm > iqr:
             verdict = "slower"
         else:
             verdict = "no"
         print(f"{name:<{width}}  "
               f"{p1 / 1e6:>7.3f}/{pm / 1e6:>7.3f}/{p3 / 1e6:>7.3f}  "
               f"{c1 / 1e6:>7.3f}/{cm / 1e6:>7.3f}/{c3 / 1e6:>7.3f}  "
-              f"{wins:>2}/{pairs:<2} {verdict}")
+              f"{wins:>2}/{AB_PAIRS:<2} {verdict}")
     return 0
 
 
@@ -155,8 +155,6 @@ def main():
     parser.add_argument("--bench", help="A/B: the bench binary's file name")
     parser.add_argument("--benchmark_filter", default="",
                         help="A/B: passed to the binary as is")
-    parser.add_argument("--pairs", type=int, default=10,
-                        help="A/B: alternated pairs to run (default 10)")
     parser.add_argument("--threshold", type=float, default=1.15,
                         help="fail when current/baseline exceeds this "
                              "(default 1.15)")
@@ -167,8 +165,8 @@ def main():
                         help="only compare benchmarks matching this regex")
     args = parser.parse_args()
     if args.ab:
-        if args.files or not args.bench or args.pairs < 1:
-            parser.error("--ab takes --bench, a positive --pairs and no files")
+        if args.files or not args.bench:
+            parser.error("--ab takes --bench and no files")
         return ab(args)
     if len(args.files) != 2:
         parser.error("give BASELINE.json and CURRENT.json, or --ab")
