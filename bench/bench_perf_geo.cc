@@ -1,7 +1,7 @@
-// Performance benchmarks for the geospatial substrate: Haversine vs the
-// equirectangular approximation, and GridIndex queries vs linear scans.
+// Performance benchmarks for the geospatial substrate: Haversine, and
+// GridIndex queries vs linear scans.
 // These justify the design choices in docs/REPRODUCTION.md "Geospatial
-// substrate" (grid cell sizing, distance function selection).
+// substrate" (grid cell sizing).
 
 #include <benchmark/benchmark.h>
 
@@ -35,18 +35,6 @@ void BM_Haversine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Haversine);
-
-void BM_Equirectangular(benchmark::State& state) {
-  auto points = RandomPoints(1024);
-  size_t i = 0;
-  for (auto _ : state) {
-    const auto& a = points[i % points.size()];
-    const auto& b = points[(i * 7 + 1) % points.size()];
-    benchmark::DoNotOptimize(EquirectangularMeters(a, b));
-    ++i;
-  }
-}
-BENCHMARK(BM_Equirectangular);
 
 void BM_GridIndexBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -61,9 +61,8 @@
 
 // Streaming ingestion: sliding-window graphs, immutable snapshots,
 // warm-start community refresh (see docs/STREAMING.md); durability —
-// write-ahead log, crash-consistent checkpoints, hostile-input chaos
-// streams (see docs/DURABILITY.md).
-#include "stream/chaos.h"
+// write-ahead log and crash-consistent checkpoints (see
+// docs/DURABILITY.md).
 #include "stream/checkpoint.h"
 #include "stream/engine.h"
 #include "stream/event.h"

@@ -25,20 +25,4 @@ constexpr size_t AsIndex(T v) {
   return static_cast<size_t>(v);
 }
 
-/// \brief Value-preserving narrowing cast, debug-checked.
-///
-/// For counters and wire fields that must shrink (size_t -> uint32_t,
-/// int64 -> int32): asserts the round trip is exact (value and sign) in
-/// debug builds, compiles to the bare cast in release.
-template <typename To, typename From>
-constexpr To CheckedNarrow(From v) {
-  static_assert(std::is_integral_v<To> && std::is_integral_v<From>,
-                "CheckedNarrow takes integers");
-  const To narrowed = static_cast<To>(v);
-  assert(static_cast<From>(narrowed) == v &&
-         ((narrowed < To{}) == (v < From{})) &&
-         "narrowing conversion changed the value");
-  return narrowed;
-}
-
 }  // namespace bikegraph

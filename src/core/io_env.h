@@ -1,35 +1,17 @@
 #pragma once
 
-#include <array>
-#include <cerrno>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <utility>
-#include <vector>
 
 namespace bikegraph {
-
-/// \brief The I/O operations the durability protocol performs, named so a
-/// fault plan can target them individually (see FaultPlan::Rule).
-enum class IoOp : uint8_t {
-  kOpen = 0,
-  kWrite,
-  kFsync,
-  kRename,
-  kUnlink,
-  kFsyncDir,
-  kTruncate,
-};
-inline constexpr size_t kIoOpCount = 7;
 
 /// \brief The syscall seam under the durability protocol. Every raw
 /// `::open/::write/::fsync/::rename/::unlink` the WAL writer, checkpoint
 /// commit, and WAL repair perform goes through one of these virtual
 /// methods (enforced by the `naked-io-syscall` lint), so tests can
-/// substitute a FaultInjectingIoEnv and exercise ENOSPC, EINTR storms,
-/// short writes, torn renames, and lying fsyncs deterministically.
+/// substitute the FaultInjectingIoEnv of tests/support/fault_io_env.h and
+/// exercise ENOSPC, EINTR storms, short writes, torn renames, and lying
+/// fsyncs deterministically.
 ///
 /// The base class *is* the production implementation: a zero-cost
 /// passthrough to the POSIX calls (one predictable virtual dispatch per
@@ -70,127 +52,6 @@ class IoEnv {
 
   /// The process-wide production environment (the passthrough above).
   static IoEnv* Default();
-};
-
-/// \brief A deterministic, seeded schedule of injected I/O faults.
-///
-/// Grammar: a plan is (a) a list of rules, each targeting one IoOp over a
-/// half-open window of that op's call indices, plus (b) an optional
-/// simulated disk capacity. Call indices count per-op across the whole
-/// environment lifetime (the 0th fsync, the 7th write, ...), so the same
-/// plan against the same workload injects the same faults — no wall
-/// clock, no global RNG (randomized plans are drawn up front from a
-/// seeded bikegraph::Rng by stream::MakeRandomFaultPlan).
-struct FaultPlan {
-  enum class Kind : uint8_t {
-    /// The call fails with `error` for every call in the window.
-    kError,
-    /// Write only: the call writes at most half the requested bytes (a
-    /// legal POSIX short write; callers must loop).
-    kShortWrite,
-    /// The call fails with EINTR for every call in the window (the
-    /// signal-storm scenario; callers must retry for free).
-    kEintrStorm,
-    /// Fsync/FsyncDir only: the call *reports success* without making
-    /// anything durable — the lying-fsync scenario. The lie becomes
-    /// visible at SimulateCrash(), which drops the un-durable bytes and
-    /// metadata the caller believed were safe.
-    kSyncLie,
-  };
-  struct Rule {
-    IoOp op = IoOp::kWrite;
-    Kind kind = Kind::kError;
-    /// Fires on matching calls with per-op index in [after, after+count).
-    uint64_t after = 0;
-    uint64_t count = 1;
-    /// errno injected by kError.
-    int error = EIO;
-    /// When non-empty, the rule applies only to paths containing this
-    /// substring (e.g. "ckpt-" to target checkpoint files). The per-op
-    /// index still counts every call of the op.
-    std::string path_substr;
-  };
-  std::vector<Rule> rules;
-  /// Simulated disk: total bytes writable through the environment before
-  /// Write fails with ENOSPC. Unlinking a file credits its bytes back —
-  /// which is exactly what the WAL writer's ENOSPC self-heal (prune old
-  /// segments, retry) relies on. 0 = unlimited.
-  uint64_t disk_capacity_bytes = 0;
-};
-
-/// \brief An IoEnv that executes real I/O but injects the faults a
-/// FaultPlan schedules, and models crash durability: it tracks, per file,
-/// how many bytes a *truthful* fsync has made durable and which creates/
-/// renames a directory fsync has committed, so SimulateCrash() can roll
-/// the real filesystem back to exactly what a power cut would have left.
-///
-/// Usage: construct with a plan, point DurabilityConfig::io_env at it,
-/// run the workload, destroy the engine (its writer flushes through the
-/// environment), then SimulateCrash() and recover with a clean
-/// environment. Not thread-safe (the engine serializes durable I/O).
-class FaultInjectingIoEnv final : public IoEnv {
- public:
-  explicit FaultInjectingIoEnv(FaultPlan plan);
-  ~FaultInjectingIoEnv() override;
-
-  int Open(const char* path, int flags, unsigned int mode) override;
-  int64_t Write(int fd, const void* data, size_t size) override;
-  int Fsync(int fd) override;
-  int Rename(const char* from, const char* to) override;
-  int Unlink(const char* path) override;
-  int FsyncDir(const char* path) override;
-  int Truncate(int fd, int64_t size) override;
-  int Close(int fd) override;
-  /// Advances the virtual clock and records the sleep; never blocks —
-  /// the retry-determinism tests assert the exact schedule.
-  void SleepMs(int64_t ms) override;
-
-  /// Appends a rule mid-run (windows are relative to the op counters, so
-  /// `{op, kind, op_count(op)}` targets the very next call of `op`).
-  void AddRule(const FaultPlan::Rule& rule);
-
-  /// Rolls the real filesystem back to the crash-consistent state: undoes
-  /// renames and deletes creations no directory fsync committed (newest
-  /// first), then truncates every tracked file to its last truthfully
-  /// fsynced length. Call with no fds open through this environment (the
-  /// writing engine must be destroyed first).
-  void SimulateCrash();
-
-  uint64_t faults_injected() const { return faults_injected_; }
-  uint64_t op_count(IoOp op) const {
-    return op_counts_[static_cast<size_t>(op)];
-  }
-  uint64_t crash_count() const { return crash_count_; }
-  uint64_t disk_used_bytes() const { return disk_used_; }
-  /// Every SleepMs duration, in call order (the backoff schedule).
-  const std::vector<int64_t>& sleep_log() const { return sleep_log_; }
-  /// Sum of the recorded sleeps — the virtual "now".
-  int64_t virtual_now_ms() const { return virtual_now_ms_; }
-
- private:
-  struct FileState {
-    uint64_t size = 0;    ///< bytes written (through this env)
-    uint64_t synced = 0;  ///< bytes a truthful fsync covered
-  };
-
-  const FaultPlan::Rule* Match(IoOp op, uint64_t idx,
-                               const std::string& path) const;
-  std::string PathOf(int fd) const;
-  FileState* Tracked(const std::string& path);
-
-  FaultPlan plan_;
-  std::array<uint64_t, kIoOpCount> op_counts_{};
-  uint64_t faults_injected_ = 0;
-  uint64_t crash_count_ = 0;
-  uint64_t disk_used_ = 0;
-  std::vector<int64_t> sleep_log_;
-  int64_t virtual_now_ms_ = 0;
-  std::map<int, std::string> fds_;
-  std::map<std::string, FileState> files_;
-  /// Creations/renames no directory fsync has committed yet, in op
-  /// order; a crash undoes them newest-first.
-  std::vector<std::string> pending_creates_;
-  std::vector<std::pair<std::string, std::string>> pending_renames_;
 };
 
 }  // namespace bikegraph

@@ -40,10 +40,6 @@ BBox BBox::ExpandedBy(double meters) const {
               LatLon(max_.lat + dlat, max_.lon + dlon));
 }
 
-LatLon BBox::Center() const {
-  return LatLon((min_.lat + max_.lat) / 2.0, (min_.lon + max_.lon) / 2.0);
-}
-
 double BBox::HeightMeters() const {
   if (IsEmpty()) return 0.0;
   double mid_lon = (min_.lon + max_.lon) / 2.0;

@@ -34,9 +34,6 @@ class BBox {
   const LatLon& min_corner() const { return min_; }
   const LatLon& max_corner() const { return max_; }
 
-  /// Centre of the box.
-  LatLon Center() const;
-
   /// Height/width in metres (Haversine along the mid-lines).
   double HeightMeters() const;
   double WidthMeters() const;

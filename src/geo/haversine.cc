@@ -16,25 +16,6 @@ double HaversineMeters(const LatLon& a, const LatLon& b) {
   return 2.0 * kEarthRadiusMeters * std::asin(std::min(1.0, std::sqrt(h)));
 }
 
-double EquirectangularMeters(const LatLon& a, const LatLon& b) {
-  const double mean_lat = DegToRad((a.lat + b.lat) / 2.0);
-  const double x = DegToRad(b.lon - a.lon) * std::cos(mean_lat);
-  const double y = DegToRad(b.lat - a.lat);
-  return kEarthRadiusMeters * std::sqrt(x * x + y * y);
-}
-
-double BearingDegrees(const LatLon& a, const LatLon& b) {
-  const double phi1 = DegToRad(a.lat);
-  const double phi2 = DegToRad(b.lat);
-  const double dlambda = DegToRad(b.lon - a.lon);
-  const double y = std::sin(dlambda) * std::cos(phi2);
-  const double x = std::cos(phi1) * std::sin(phi2) -
-                   std::sin(phi1) * std::cos(phi2) * std::cos(dlambda);
-  double theta = RadToDeg(std::atan2(y, x));
-  if (theta < 0.0) theta += 360.0;
-  return theta;
-}
-
 LatLon Offset(const LatLon& origin, double distance_m, double bearing_deg) {
   const double delta = distance_m / kEarthRadiusMeters;
   const double theta = DegToRad(bearing_deg);

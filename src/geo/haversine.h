@@ -31,15 +31,6 @@ inline double HaversineMetersWithCos(const LatLon& a, const LatLon& b,
   return 2.0 * kEarthRadiusMeters * std::asin(std::min(1.0, std::sqrt(h)));
 }
 
-/// \brief Fast flat-Earth (equirectangular) approximation of the distance in
-/// metres. Accurate to well under 0.1% at intra-city scales; used as the
-/// cheap comparator in the geo ablation benchmark and inside hot loops where
-/// a conservative bound suffices.
-double EquirectangularMeters(const LatLon& a, const LatLon& b);
-
-/// \brief Initial great-circle bearing from `a` to `b` in degrees [0, 360).
-double BearingDegrees(const LatLon& a, const LatLon& b);
-
 /// \brief Destination point `distance_m` metres from `origin` along
 /// `bearing_deg` (great-circle).
 LatLon Offset(const LatLon& origin, double distance_m, double bearing_deg);

@@ -115,10 +115,9 @@ Result<InterCommunityFlowResult> QueryService::Pinned::Flow(
 
 Result<TopPairsResult> QueryService::Pinned::TopPairs(size_t k) const {
   TopPairsResult result;
-  if (k <= service_->options_.top_pairs_limit) {
+  if (k <= kTopPairsLimit) {
     bool computed = false;
-    const auto& ranked = memo_->TopPairs(
-        *snapshot_, service_->options_.top_pairs_limit, &computed);
+    const auto& ranked = memo_->TopPairs(*snapshot_, kTopPairsLimit, &computed);
     (computed ? service_->stat_pairs_misses_ : service_->stat_pairs_hits_)
         .fetch_add(1, std::memory_order_relaxed);
     result.pairs.assign(

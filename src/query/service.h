@@ -20,14 +20,15 @@ class StreamEngine;
 
 namespace bikegraph::query {
 
+/// \brief Length of the memoized top-pairs ranking. TopPairs queries with
+/// k <= this limit are served from the memo; larger k recomputes the full
+/// ranking per query (correct, just unmemoized).
+inline constexpr size_t kTopPairsLimit = 256;
+
 /// \brief Tuning knobs of a QueryService.
 struct QueryServiceOptions {
   /// The detection the memoized partition runs (once per epoch).
   community::DetectSpec detection;
-  /// Length of the memoized top-pairs ranking. TopPairs queries with
-  /// k <= this limit are served from the memo; larger k recomputes the
-  /// full ranking per query (correct, just unmemoized).
-  size_t top_pairs_limit = 256;
   /// Memo cells kept alive at once (LRU by epoch: the oldest epoch's
   /// cell is evicted first). Pinned handles keep their cell via
   /// shared_ptr, so eviction never invalidates an in-flight reader.

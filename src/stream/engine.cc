@@ -785,7 +785,7 @@ Status StreamEngine::Checkpoint() {
       WriteCheckpoint(config_.durability.directory, CaptureState(), env));
   uint64_t oldest_kept = 0;
   BIKEGRAPH_RETURN_NOT_OK(PruneCheckpoints(config_.durability.directory,
-                                           config_.durability.checkpoints_kept,
+                                           kCheckpointsKept,
                                            &oldest_kept, env));
   return PruneWalSegments(config_.durability.directory, oldest_kept,
                           /*pruned=*/nullptr, env);

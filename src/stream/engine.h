@@ -250,7 +250,7 @@ class StreamEngine {
 
   /// Durability only: syncs the WAL, writes a crash-consistent checkpoint
   /// of the complete engine state, prunes old checkpoints down to
-  /// `checkpoints_kept`, and prunes WAL segments no kept checkpoint
+  /// kCheckpointsKept, and prunes WAL segments no kept checkpoint
   /// needs. FailedPrecondition when durability is disabled. A barrier
   /// point (the checkpoint must capture quiescent shards); with one shard
   /// it leaves the engine state untouched.

@@ -55,7 +55,7 @@ Result<RefreshOutcome> IncrementalCommunityTracker::Refresh(
         *previous_partition_, outcome.result.partition);
     const bool drifted = outcome.nmi_drift < policy_.min_nmi;
     const bool degraded = outcome.result.modularity + 1e-12 <
-                          previous_modularity_ - policy_.max_modularity_drop;
+                          previous_modularity_ - kMaxModularityDrop;
     if (drifted || degraded) {
       BIKEGRAPH_ASSIGN_OR_RETURN(community::CommunityResult cold,
                                  run(/*with_seed=*/false));

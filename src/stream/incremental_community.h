@@ -9,6 +9,11 @@
 
 namespace bikegraph::stream {
 
+/// \brief A warm refresh escalates to a full re-detect when its modularity
+/// drops more than this below the previous window's (warm starts can only
+/// get stuck in the seed's local optimum; a full run is the way out).
+inline constexpr double kMaxModularityDrop = 0.02;
+
 /// \brief When to abandon a warm-started refresh and re-detect from
 /// scratch. Thresholds compare the warm result against the previous
 /// window's published result — the portfolio framing: keep both refresh
@@ -18,10 +23,6 @@ struct RefreshPolicy {
   /// this: the community structure moved too far for the seed to be
   /// trusted as a basin of attraction.
   double min_nmi = 0.70;
-  /// Escalate when the warm result's modularity drops more than this
-  /// below the previous window's modularity (warm starts can only get
-  /// stuck in the seed's local optimum; a full run is the way out).
-  double max_modularity_drop = 0.02;
   /// Force a full re-detect every N refreshes regardless of drift
   /// (0 = never). This is the escape hatch from a degraded seed basin:
   /// seeded Louvain can merge but never *split* the seed's communities,

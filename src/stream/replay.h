@@ -84,11 +84,6 @@ class ReplaySource {
   bool Done() const { return cursor_ >= events_.size(); }
   size_t remaining() const { return events_.size() - cursor_; }
 
-  /// Next event without consuming it; nullptr when exhausted.
-  const TripEvent* Peek() const {
-    return Done() ? nullptr : &events_[cursor_];
-  }
-
   /// Consumes and returns the next event. With a positive replay speed,
   /// sleeps so consecutive events are spaced (arrival-time delta)/speed
   /// apart in wall time — arrival time is the jittered report time when
@@ -96,9 +91,6 @@ class ReplaySource {
   /// jittered replay paces at the same overall speed as an ordered one)
   /// and the event start time otherwise.
   std::optional<TripEvent> Next();
-
-  /// Rewinds to the start of the stream.
-  void Rewind() { cursor_ = 0; }
 
   /// Drains the whole stream into `engine` (Ingest per event), honouring
   /// the replay speed, then flushes the engine's reorder buffer so every

@@ -328,8 +328,7 @@ bool WalWriter::GrantDelayedRetry(uint32_t* delayed_left,
   --*delayed_left;
   ++retry_count_;
   env_->SleepMs(*backoff_ms);
-  const int64_t cap = std::max<int64_t>(config_.faults.backoff_max_ms, 1);
-  *backoff_ms = std::min<int64_t>(*backoff_ms * 2, cap);
+  *backoff_ms = std::min<int64_t>(*backoff_ms * 2, kBackoffMaxMs);
   return true;
 }
 
@@ -347,8 +346,7 @@ Status WalWriter::OpenSegment(uint64_t first_seq) {
   const std::string path =
       (fs::path(config_.directory) / WalSegmentName(first_seq)).string();
   uint32_t delayed_left = config_.faults.max_retries;
-  int64_t backoff_ms =
-      std::max<int64_t>(config_.faults.backoff_initial_ms, 1);
+  int64_t backoff_ms = kBackoffInitialMs;
   bool had_transient = false;
   bool self_healed = false;
   for (;;) {
@@ -390,8 +388,7 @@ Status WalWriter::WriteBuffer() {
   const char* p = buffer_.data();
   size_t left = buffer_.size();
   uint32_t delayed_left = config_.faults.max_retries;
-  int64_t backoff_ms =
-      std::max<int64_t>(config_.faults.backoff_initial_ms, 1);
+  int64_t backoff_ms = kBackoffInitialMs;
   bool had_transient = false;
   bool self_healed = false;
   while (left > 0) {

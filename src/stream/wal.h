@@ -20,6 +20,17 @@ namespace bikegraph::stream {
 /// hardware intrinsics are assumed.
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0);
 
+/// \brief The first backoff sleep of a retried I/O call, and the cap it
+/// doubles up to. The sleep goes through IoEnv::SleepMs, so tests inject
+/// a virtual clock and never block.
+inline constexpr int64_t kBackoffInitialMs = 1;
+inline constexpr int64_t kBackoffMaxMs = 64;
+
+/// \brief Checkpoints retained after each successful Checkpoint(); older
+/// ones — and the WAL segments only they needed — are pruned. Two keep a
+/// fallback when the newest file is torn by a crash.
+inline constexpr size_t kCheckpointsKept = 2;
+
 /// \brief What the durable engine does when an I/O call fails. The
 /// taxonomy (docs/DURABILITY.md, "Fault model"): EINTR is always retried
 /// immediately and for free; EAGAIN/EWOULDBLOCK and ENOSPC are
@@ -29,17 +40,13 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0);
 /// proves nothing about pages the kernel already dropped) is *permanent*.
 /// When the budget is exhausted or the error is permanent the engine
 /// either poisons (default, the pre-policy behavior) or degrades to
-/// loudly-non-durable mode and keeps ingesting.
+/// loudly-non-durable mode and keeps ingesting. Backed-off retries sleep
+/// kBackoffInitialMs first, doubling per retry up to kBackoffMaxMs.
 struct FaultPolicy {
   /// Backed-off retries allowed per failing call. EINTR retries are
   /// unbounded and uncounted. 0 (default) keeps the legacy behavior:
   /// the first transient failure is final.
   uint32_t max_retries = 0;
-  /// First backoff sleep; doubles per retry up to `backoff_max_ms`. The
-  /// sleep goes through IoEnv::SleepMs, so tests inject a virtual clock
-  /// and never block.
-  int64_t backoff_initial_ms = 1;
-  int64_t backoff_max_ms = 64;
   /// After the retry budget: false = poison the writer and engine
   /// (default); true = degrade — the engine abandons the WAL, writes a
   /// loud on-disk marker (kDegradedMarkerName) so Recover() refuses the
@@ -73,15 +80,11 @@ struct DurabilityConfig {
   /// N amortizes the fsync latency over more events (measured in
   /// docs/DURABILITY.md).
   uint64_t sync_interval_records = 512;
-  /// Checkpoints retained after each successful Checkpoint(); older
-  /// ones — and the WAL segments only they needed — are pruned. At
-  /// least 2 keeps a fallback when the newest file is torn by a crash.
-  size_t checkpoints_kept = 2;
   /// Failure handling for the durable I/O (see FaultPolicy).
   FaultPolicy faults;
   /// Syscall seam for all durable I/O. Non-owning; must outlive the
-  /// engine (and, for FaultInjectingIoEnv::SimulateCrash, outlive it by
-  /// design). nullptr = IoEnv::Default(), the production passthrough.
+  /// engine. nullptr = IoEnv::Default(), the production passthrough;
+  /// tests pass the FaultInjectingIoEnv of tests/support/fault_io_env.h.
   IoEnv* io_env = nullptr;
 };
 

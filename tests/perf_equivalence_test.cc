@@ -22,14 +22,14 @@
 #include <gtest/gtest.h>
 
 #include "core/checked_cast.h"
+#include "support/dense_hac.h"
 
 using bikegraph::AsIndex;
 
 namespace bikegraph {
 namespace {
 
-using cluster::DenseHacGeo;
-using cluster::Linkage;
+using cluster::DenseCompleteLinkageCut;
 using cluster::ThresholdCompleteLinkage;
 using community::AggregateByPartition;
 using community::AlgorithmId;
@@ -367,9 +367,7 @@ TEST(ThresholdHacEquivalenceTest, MatchesDenseCutOnRandomInputs) {
     for (double threshold : {40.0, 100.0, 250.0}) {
       auto sparse = ThresholdCompleteLinkage(points, threshold);
       ASSERT_TRUE(sparse.ok());
-      auto dense = DenseHacGeo(points, Linkage::kComplete);
-      ASSERT_TRUE(dense.ok());
-      ExpectSamePartition(*sparse, dense->CutAt(threshold));
+      ExpectSamePartition(*sparse, DenseCompleteLinkageCut(points, threshold));
     }
   }
 }

@@ -15,9 +15,7 @@
 #include <vector>
 
 #include "core/civil_time.h"
-#include "core/io_env.h"
 #include "core/rng.h"
-#include "stream/chaos.h"
 #include "stream/checkpoint.h"
 #include "stream/engine.h"
 #include "stream/replay.h"
@@ -27,6 +25,9 @@
 #include <fcntl.h>
 
 #include <gtest/gtest.h>
+
+#include "support/chaos.h"
+#include "support/fault_io_env.h"
 
 namespace bikegraph::stream {
 namespace {
@@ -356,7 +357,6 @@ TEST(WalFaultTest, EnospcSelfHealsByPruningCoveredSegments) {
   config.segment_bytes = 256;  // rotate every ~14 records
   config.sync_interval_records = 1;
   config.faults.max_retries = 2;
-  config.faults.backoff_initial_ms = 1;
   config.io_env = &env;
 
   auto writer = WalWriter::Open(config, /*next_seq=*/1);
@@ -392,7 +392,6 @@ TEST(WalFaultTest, EnospcWithNothingToPrunePoisonsLoudly) {
   config.directory = dir.string();
   config.sync_interval_records = 1;
   config.faults.max_retries = 1;
-  config.faults.backoff_initial_ms = 1;
   config.io_env = &env;
 
   auto writer = WalWriter::Open(config, /*next_seq=*/1);
@@ -586,8 +585,6 @@ RetryRunResult RunBackoffSchedule(size_t shard_count,
   StreamEngineConfig config = SmallEngineConfig(dir, &env);
   config.shard_count = shard_count;
   config.durability.faults.max_retries = 4;
-  config.durability.faults.backoff_initial_ms = 1;
-  config.durability.faults.backoff_max_ms = 64;
 
   RetryRunResult result;
   {
@@ -675,7 +672,6 @@ TEST(DegradeTest, ExhaustedBudgetDegradesLoudlyAndKeepsIngesting) {
   FaultInjectingIoEnv env(plan);
   StreamEngineConfig config = SmallEngineConfig(dir, &env);
   config.durability.faults.max_retries = 2;
-  config.durability.faults.backoff_initial_ms = 1;
   config.durability.faults.degrade_on_exhausted = true;
 
   {
@@ -839,7 +835,6 @@ void RunFaultScheduleGate(bool transient_only, uint64_t seed_base,
     durable.durability.sync_interval_records = 16;
     durable.durability.io_env = &env;
     durable.durability.faults.max_retries = 4;  // >= max_burst
-    durable.durability.faults.backoff_initial_ms = 1;
 
     const auto kill = static_cast<size_t>(rng.NextBounded(ops.size() + 1));
     const size_t checkpoint_every =

@@ -1,4 +1,4 @@
-#include "stream/chaos.h"
+#include "support/chaos.h"
 
 #include <algorithm>
 #include <deque>

@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "core/civil_time.h"
-#include "core/io_env.h"
 #include "stream/event.h"
+#include "support/fault_io_env.h"
 
 namespace bikegraph::stream {
 

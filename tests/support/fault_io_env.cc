@@ -1,0 +1,376 @@
+#include "support/fault_io_env.h"
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <sys/types.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+
+namespace bikegraph {
+
+namespace fs = std::filesystem;
+
+namespace {
+
+uint64_t RealFileSize(const std::string& path) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) {
+    return 0;
+  }
+  return st.st_size >= 0 ? static_cast<uint64_t>(st.st_size) : 0;
+}
+
+bool SameDirectory(const std::string& file, const std::string& directory) {
+  return fs::path(file).lexically_normal().parent_path() ==
+         fs::path(directory).lexically_normal();
+}
+
+}  // namespace
+
+FaultInjectingIoEnv::FaultInjectingIoEnv(FaultPlan plan)
+    : plan_(std::move(plan)) {}
+
+FaultInjectingIoEnv::~FaultInjectingIoEnv() = default;
+
+void FaultInjectingIoEnv::AddRule(const FaultPlan::Rule& rule) {
+  plan_.rules.push_back(rule);
+}
+
+const FaultPlan::Rule* FaultInjectingIoEnv::Match(
+    IoOp op, uint64_t idx, const std::string& path) const {
+  for (const FaultPlan::Rule& rule : plan_.rules) {
+    if (rule.op != op || idx < rule.after || idx - rule.after >= rule.count) {
+      continue;
+    }
+    if (!rule.path_substr.empty() &&
+        path.find(rule.path_substr) == std::string::npos) {
+      continue;
+    }
+    return &rule;
+  }
+  return nullptr;
+}
+
+std::string FaultInjectingIoEnv::PathOf(int fd) const {
+  const auto it = fds_.find(fd);
+  return it == fds_.end() ? std::string() : it->second;
+}
+
+FaultInjectingIoEnv::FileState* FaultInjectingIoEnv::Tracked(
+    const std::string& path) {
+  const auto it = files_.find(path);
+  return it == files_.end() ? nullptr : &it->second;
+}
+
+int FaultInjectingIoEnv::Open(const char* path, int flags,
+                              unsigned int mode) {
+  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kOpen)]++;
+  if (const FaultPlan::Rule* rule = Match(IoOp::kOpen, idx, path)) {
+    switch (rule->kind) {
+      case FaultPlan::Kind::kError:
+        ++faults_injected_;
+        errno = rule->error;
+        return -1;
+      case FaultPlan::Kind::kEintrStorm:
+        ++faults_injected_;
+        errno = EINTR;
+        return -1;
+      case FaultPlan::Kind::kShortWrite:
+      case FaultPlan::Kind::kSyncLie:
+        break;  // meaningless for open; pass through
+    }
+  }
+  const bool existed = ::access(path, F_OK) == 0;
+  const int fd = IoEnv::Open(path, flags, mode);
+  if (fd < 0) {
+    return fd;
+  }
+  auto it = files_.find(path);
+  if (it == files_.end()) {
+    FileState state;
+    if (existed) {
+      // First sight of a pre-existing file: its current content predates
+      // this environment and is treated as durable.
+      state.size = RealFileSize(path);
+      state.synced = state.size;
+    } else {
+      pending_creates_.push_back(path);
+    }
+    it = files_.emplace(path, state).first;
+  }
+  if (existed && (flags & O_TRUNC) != 0) {
+    it->second.size = 0;
+    it->second.synced = 0;
+  }
+  fds_[fd] = path;
+  return fd;
+}
+
+int64_t FaultInjectingIoEnv::Write(int fd, const void* data, size_t size) {
+  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kWrite)]++;
+  const std::string path = PathOf(fd);
+  size_t effective = size;
+  if (const FaultPlan::Rule* rule = Match(IoOp::kWrite, idx, path)) {
+    switch (rule->kind) {
+      case FaultPlan::Kind::kError:
+        ++faults_injected_;
+        errno = rule->error;
+        return -1;
+      case FaultPlan::Kind::kEintrStorm:
+        ++faults_injected_;
+        errno = EINTR;
+        return -1;
+      case FaultPlan::Kind::kShortWrite:
+        if (size > 1) {
+          effective = size / 2;
+          ++faults_injected_;
+        }
+        break;
+      case FaultPlan::Kind::kSyncLie:
+        break;  // meaningless for write; pass through
+    }
+  }
+  if (plan_.disk_capacity_bytes > 0) {
+    if (disk_used_ >= plan_.disk_capacity_bytes) {
+      ++faults_injected_;
+      errno = ENOSPC;
+      return -1;
+    }
+    // A nearly-full disk writes what fits and the next attempt hits
+    // ENOSPC — the short-write-then-fail shape real filesystems produce.
+    effective = std::min<uint64_t>(effective,
+                                   plan_.disk_capacity_bytes - disk_used_);
+  }
+  const int64_t written = IoEnv::Write(fd, data, effective);
+  if (written > 0) {
+    disk_used_ += static_cast<uint64_t>(written);
+    if (FileState* file = Tracked(path)) {
+      file->size += static_cast<uint64_t>(written);
+    }
+  }
+  return written;
+}
+
+int FaultInjectingIoEnv::Fsync(int fd) {
+  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kFsync)]++;
+  const std::string path = PathOf(fd);
+  if (const FaultPlan::Rule* rule = Match(IoOp::kFsync, idx, path)) {
+    switch (rule->kind) {
+      case FaultPlan::Kind::kError:
+        ++faults_injected_;
+        errno = rule->error;
+        return -1;
+      case FaultPlan::Kind::kEintrStorm:
+        ++faults_injected_;
+        errno = EINTR;
+        return -1;
+      case FaultPlan::Kind::kSyncLie:
+        // Report success without marking anything durable: the caller's
+        // bytes stay in the crash-vulnerable window.
+        ++faults_injected_;
+        return 0;
+      case FaultPlan::Kind::kShortWrite:
+        break;  // meaningless for fsync; pass through
+    }
+  }
+  const int rc = IoEnv::Fsync(fd);
+  if (rc == 0) {
+    if (FileState* file = Tracked(path)) {
+      file->synced = file->size;
+    }
+  }
+  return rc;
+}
+
+int FaultInjectingIoEnv::Rename(const char* from, const char* to) {
+  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kRename)]++;
+  const std::string joined = std::string(from) + "|" + to;
+  if (const FaultPlan::Rule* rule = Match(IoOp::kRename, idx, joined)) {
+    switch (rule->kind) {
+      case FaultPlan::Kind::kError:
+        ++faults_injected_;
+        errno = rule->error;
+        return -1;
+      case FaultPlan::Kind::kEintrStorm:
+        ++faults_injected_;
+        errno = EINTR;
+        return -1;
+      case FaultPlan::Kind::kShortWrite:
+      case FaultPlan::Kind::kSyncLie:
+        break;  // meaningless for rename; pass through
+    }
+  }
+  const int rc = IoEnv::Rename(from, to);
+  if (rc == 0) {
+    const auto it = files_.find(from);
+    if (it != files_.end()) {
+      files_[to] = it->second;
+      files_.erase(it);
+    }
+    for (auto& [fd, fd_path] : fds_) {
+      (void)fd;
+      if (fd_path == from) {
+        fd_path = to;
+      }
+    }
+    pending_renames_.emplace_back(from, to);
+  }
+  return rc;
+}
+
+int FaultInjectingIoEnv::Unlink(const char* path) {
+  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kUnlink)]++;
+  if (const FaultPlan::Rule* rule = Match(IoOp::kUnlink, idx, path)) {
+    switch (rule->kind) {
+      case FaultPlan::Kind::kError:
+        ++faults_injected_;
+        errno = rule->error;
+        return -1;
+      case FaultPlan::Kind::kEintrStorm:
+        ++faults_injected_;
+        errno = EINTR;
+        return -1;
+      case FaultPlan::Kind::kShortWrite:
+      case FaultPlan::Kind::kSyncLie:
+        break;  // meaningless for unlink; pass through
+    }
+  }
+  const FileState* file = Tracked(path);
+  const uint64_t freed = file != nullptr ? file->size : RealFileSize(path);
+  const int rc = IoEnv::Unlink(path);
+  if (rc == 0) {
+    disk_used_ -= std::min(disk_used_, freed);
+    files_.erase(path);
+    pending_creates_.erase(
+        std::remove(pending_creates_.begin(), pending_creates_.end(), path),
+        pending_creates_.end());
+    // A rename whose target was unlinked can no longer be undone; the
+    // crash outcome for that path is "gone" either way.
+    pending_renames_.erase(
+        std::remove_if(pending_renames_.begin(), pending_renames_.end(),
+                       [&](const auto& entry) { return entry.second == path; }),
+        pending_renames_.end());
+  }
+  return rc;
+}
+
+int FaultInjectingIoEnv::FsyncDir(const char* path) {
+  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kFsyncDir)]++;
+  if (const FaultPlan::Rule* rule = Match(IoOp::kFsyncDir, idx, path)) {
+    switch (rule->kind) {
+      case FaultPlan::Kind::kError:
+        ++faults_injected_;
+        errno = rule->error;
+        return -1;
+      case FaultPlan::Kind::kEintrStorm:
+        ++faults_injected_;
+        errno = EINTR;
+        return -1;
+      case FaultPlan::Kind::kSyncLie:
+        // Claims the metadata barrier happened; the pending creates and
+        // renames stay crash-vulnerable.
+        ++faults_injected_;
+        return 0;
+      case FaultPlan::Kind::kShortWrite:
+        break;  // meaningless for fsyncdir; pass through
+    }
+  }
+  const int rc = IoEnv::FsyncDir(path);
+  if (rc == 0) {
+    pending_creates_.erase(
+        std::remove_if(pending_creates_.begin(), pending_creates_.end(),
+                       [&](const std::string& p) {
+                         return SameDirectory(p, path);
+                       }),
+        pending_creates_.end());
+    pending_renames_.erase(
+        std::remove_if(pending_renames_.begin(), pending_renames_.end(),
+                       [&](const auto& entry) {
+                         return SameDirectory(entry.second, path);
+                       }),
+        pending_renames_.end());
+  }
+  return rc;
+}
+
+int FaultInjectingIoEnv::Truncate(int fd, int64_t size) {
+  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kTruncate)]++;
+  const std::string path = PathOf(fd);
+  if (const FaultPlan::Rule* rule = Match(IoOp::kTruncate, idx, path)) {
+    switch (rule->kind) {
+      case FaultPlan::Kind::kError:
+        ++faults_injected_;
+        errno = rule->error;
+        return -1;
+      case FaultPlan::Kind::kEintrStorm:
+        ++faults_injected_;
+        errno = EINTR;
+        return -1;
+      case FaultPlan::Kind::kShortWrite:
+      case FaultPlan::Kind::kSyncLie:
+        break;  // meaningless for truncate; pass through
+    }
+  }
+  const int rc = IoEnv::Truncate(fd, size);
+  if (rc == 0) {
+    if (FileState* file = Tracked(path)) {
+      const uint64_t new_size =
+          size >= 0 ? static_cast<uint64_t>(size) : 0;
+      if (new_size < file->size) {
+        disk_used_ -= std::min(disk_used_, file->size - new_size);
+      }
+      file->size = new_size;
+      file->synced = std::min(file->synced, new_size);
+    }
+  }
+  return rc;
+}
+
+int FaultInjectingIoEnv::Close(int fd) {
+  fds_.erase(fd);
+  return IoEnv::Close(fd);
+}
+
+void FaultInjectingIoEnv::SleepMs(int64_t ms) {
+  sleep_log_.push_back(ms);
+  virtual_now_ms_ += ms;
+}
+
+void FaultInjectingIoEnv::SimulateCrash() {
+  ++crash_count_;
+  // Metadata first, newest-first: a rename the directory never committed
+  // rolls back to the old name; a create it never committed disappears.
+  for (auto it = pending_renames_.rbegin(); it != pending_renames_.rend();
+       ++it) {
+    if (IoEnv::Rename(it->second.c_str(), it->first.c_str()) == 0) {
+      const auto state = files_.find(it->second);
+      if (state != files_.end()) {
+        files_[it->first] = state->second;
+        files_.erase(state);
+      }
+    }
+  }
+  pending_renames_.clear();
+  for (auto it = pending_creates_.rbegin(); it != pending_creates_.rend();
+       ++it) {
+    if (IoEnv::Unlink(it->c_str()) == 0 || errno == ENOENT) {
+      files_.erase(*it);
+    }
+  }
+  pending_creates_.clear();
+  // Data second: every surviving file keeps only what a truthful fsync
+  // covered (a lying fsync left `synced` behind `size` — this is where
+  // the lie lands).
+  for (auto& [path, file] : files_) {
+    if (file.size > file.synced) {
+      if (::truncate(path.c_str(), static_cast<off_t>(file.synced)) == 0) {
+        disk_used_ -= std::min(disk_used_, file.size - file.synced);
+        file.size = file.synced;
+      }
+    }
+  }
+}
+
+}  // namespace bikegraph

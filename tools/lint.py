@@ -11,10 +11,10 @@ Checks
   umbrella-export       every public header under src/ is #included by the
                         umbrella src/bikegraph.h (internal-only headers are
                         exempted in INTERNAL_HEADERS with a justification)
-  pragma-once           every public header opens with #pragma once (the
-                        compile-level self-containment proof is the generated
-                        header_selfcontained_test target; see
-                        --emit-header-matrix)
+  pragma-once           every public and tests/support header opens with
+                        #pragma once (the compile-level self-containment
+                        proof is the generated header_selfcontained_test
+                        target; see --emit-header-matrix)
   unordered-iteration   no iteration over std::unordered_{map,set} feeding
                         ordered output — the seed's tie-break bug class. Any
                         range-for over an unordered container must carry a
@@ -68,7 +68,8 @@ Modes
   lint.py --root R --selftest         golden-file tests (bad snippets fail)
   lint.py --root R --emit-header-matrix DIR
                                       write one self-containment TU per
-                                      public header (consumed by CMake's
+                                      public header and per tests/support
+                                      header (consumed by CMake's
                                       header_selfcontained_test target)
   lint.py --root R --list-checks      print the check catalog
 """
@@ -91,7 +92,8 @@ EXCLUDE_PARTS = ("lint_golden",)  # known-bad snippets live here on purpose
 # Public headers intentionally absent from the umbrella, each with the
 # justification the check requires.
 INTERNAL_HEADERS = {
-    "stream/testing.h": "test-support seams (kill-point hooks), not API",
+    "stream/testing.h": "test and bench stream generator (PlantedStream); "
+                        "stays under src/ because perfbench includes it",
 }
 
 # The single file allowed to issue raw durability syscalls: the IoEnv
@@ -165,6 +167,16 @@ def public_headers(files):
     return [f for f in files if f.startswith("src/") and f.endswith(".h")]
 
 
+TESTING_HEADER_DIR = "tests/support/"
+
+
+def testing_headers(files):
+    """Headers of the bikegraph_testing library, which the test targets
+    include as "support/<name>.h"."""
+    return [f for f in files
+            if f.startswith(TESTING_HEADER_DIR) and f.endswith(".h")]
+
+
 def strip_comments(line):
     """Best-effort removal of comment and string-literal text from one
     line (so quoted text can't trip the code-pattern regexes)."""
@@ -220,7 +232,7 @@ def check_umbrella_export(root, files):
 
 def check_pragma_once(root, files):
     violations = []
-    for hdr in public_headers(files):
+    for hdr in public_headers(files) + testing_headers(files):
         with open(os.path.join(root, hdr), encoding="utf-8") as f:
             for line in f:
                 stripped = line.strip()
@@ -549,20 +561,22 @@ CHECKS = [
 # --------------------------------------------------------------------------
 
 def emit_header_matrix(root, out_dir):
-    """One TU per public header: the header first, twice, nothing else.
+    """One TU per public and test-support header: the header first,
+    twice, nothing else.
 
     Compiling the whole set (CMake's header_selfcontained_test target)
-    proves every public header is self-contained (brings in everything it
+    proves every such header is self-contained (brings in everything it
     needs) and include-guarded (the second include is a no-op).
     """
     files = list_tree_files(root)
-    headers = public_headers(files)
+    headers = public_headers(files) + testing_headers(files)
     os.makedirs(out_dir, exist_ok=True)
     for stale in os.listdir(out_dir):
         if stale.endswith(".cc"):
             os.unlink(os.path.join(out_dir, stale))
     for hdr in headers:
-        rel = hdr[len("src/"):]
+        # The include path: src/x.h -> x.h, tests/support/x.h -> support/x.h.
+        rel = hdr.split("/", 1)[1]
         slug = re.sub(r"[^A-Za-z0-9]", "_", rel)
         path = os.path.join(out_dir, f"selfcontained_{slug}.cc")
         with open(path, "w", encoding="utf-8") as f:
